@@ -23,13 +23,9 @@ from .engine import (
     BatchResult,
     FixedHorizon,
     ParameterPoint,
-    RunResult,
-    SimulationConfig,
     SweepGrid,
     UntilConvergence,
-    iter_results,
     run_replicates,
-    run_simulation,
     sweep,
 )
 from .errors import MicrosocError
@@ -71,9 +67,7 @@ __all__ = [
     "ParameterPoint",
     "ProductionDistribution",
     "QualityAssignment",
-    "RunResult",
     "Schedule",
-    "SimulationConfig",
     "SweepGrid",
     "UntilConvergence",
     "adaptiveness",
@@ -85,14 +79,12 @@ __all__ = [
     "entropy",
     "entropy_normalized",
     "export_schedule",
-    "iter_results",
     "load_schedule",
     "partition_frequencies",
     "production_distribution",
     "reachability_profile",
     "record_interaction",
     "run_replicates",
-    "run_simulation",
     "sample_variant",
     "seed_derive",
     "sweep",

@@ -21,12 +21,7 @@ import time
 
 from . import engine, output, plotting
 from .core import UNBOUNDED
-from .errors import (
-    ConfigError,
-    MicrosocError,
-    ScheduleValidationError,
-    SinkError,
-)
+from .errors import ConfigError, MicrosocError, ScheduleValidationError
 from .schedule import (
     BUILTIN_SIZES,
     ConnectivityKind,
@@ -221,28 +216,26 @@ def cmd_simulate(args) -> int:
         horizon = engine.FixedHorizon(args.rounds)
     batch = engine.run_replicates(point, args.runs, args.seed, horizon=horizon)
 
-    summaries = output.summarize_batch(batch)
-    single = args.runs == 1
     print(f"# {args.runs} run(s), {point.n_agents} agents, "
           f"{ConnectivityKind(point.connectivity).value} connectivity")
     header = ("round", "entropy", "entropy_norm", "adaptiveness", "delta_a")
     print("{:>5} {:>9} {:>13} {:>13} {:>8}".format(*header))
-    if single:
-        res = next(engine.iter_results(batch))
-        for t in range(1, res.n_rounds + 1):
+    if args.runs == 1:
+        for t in range(1, int(batch.n_rounds[0]) + 1):
             print(
-                f"{t:>5} {res.entropy[t - 1]:>9.3f} "
-                f"{res.entropy_norm[t - 1]:>13.3f} "
-                f"{res.adaptiveness[t - 1]:>13.3f} "
-                f"{res.delta_adaptiveness[t - 1]:>8.3f}"
+                f"{t:>5} {batch.entropy[0, t - 1]:>9.3f} "
+                f"{batch.entropy_norm[0, t - 1]:>13.3f} "
+                f"{batch.adaptiveness[0, t - 1]:>13.3f} "
+                f"{batch.delta_adaptiveness[0, t - 1]:>8.3f}"
             )
-        if res.converged:
-            print(f"# converged at round {res.convergence_round}")
+        conv = int(batch.convergence_rounds[0])  # 0: not converged
+        if conv:
+            print(f"# converged at round {conv}")
         else:
             print("# did not converge within the horizon")
     else:
         by_round: dict[int, dict[str, float]] = {}
-        for rec in summaries:
+        for rec in output.summarize_batch(batch):
             if rec.round_no > 0:
                 by_round.setdefault(rec.round_no, {})[rec.metric] = rec.mean
         for t in sorted(by_round):
@@ -258,10 +251,8 @@ def cmd_simulate(args) -> int:
             print(f"# mean time to convergence: {conv[conv > 0].mean():.3f}")
 
     if args.out:
-        records = []
-        for run_id, res in enumerate(engine.iter_results(batch)):
-            records.extend(output.records_from_result(res, run_id))
-        output.write_runs(records, args.out)
+        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(output.RUNS_HEADER + "\n" + output.runs_block(batch))
         print(f"# wrote {args.out}")
     return 0
 
@@ -304,6 +295,10 @@ def _validated_config(path: str | None) -> dict:
     )
     if not ok_mem:
         fail("memory_levels must be a nonempty list of integers >= 1 or \"inf\"")
+    for key in ("population_sizes", "connectivity", "coordination_bias_levels",
+                "content_bias_levels", "memory_levels"):
+        if len(set(config[key])) != len(config[key]):
+            fail(f"{key} must not repeat a level")
     if not (isinstance(config["mutation_rate"], (int, float))
             and 0 <= config["mutation_rate"] <= 1):
         fail("mutation_rate must lie in [0,1]")
@@ -350,6 +345,7 @@ def _grid_from_config(config: dict) -> engine.SweepGrid:
 
 
 def config_digest(config: dict) -> str:
+    """sha256 of the config's canonical JSON; the checkpoint stores it."""
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -362,7 +358,12 @@ def cmd_sweep(args) -> int:
         if config["horizon_mode"] == "until_convergence"
         else engine.FixedHorizon()
     )
-    workers = args.threads if args.threads else (os.cpu_count() or 1)
+    if args.threads:
+        workers = args.threads
+    elif hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
     if args.resume:
         done_marker = os.path.join(config["output_dir"], output.CsvSweepSink.CHECKPOINT)
         try:
@@ -372,8 +373,15 @@ def cmd_sweep(args) -> int:
                     return 0
         except (OSError, json.JSONDecodeError):
             pass  # let the sink report the precise problem
+    # Hash each custom schedule's content, not its path, so that --resume
+    # refuses a schedule file edited since the sweep began.
+    hashed = dict(config, connectivity=[
+        dumps_schedule(grid.custom_schedules[v], "json") if v in grid.custom_schedules
+        else v
+        for v in config["connectivity"]
+    ])
     sink = output.CsvSweepSink(
-        config["output_dir"], config_digest(config), resume=args.resume
+        config["output_dir"], config_digest(hashed), resume=args.resume
     )
     total = len(grid.points())
     start = sink.start_index()
@@ -457,9 +465,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except MicrosocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

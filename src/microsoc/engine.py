@@ -19,11 +19,11 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator
+from typing import ClassVar
 
 import numpy as np
 
-from . import rng
+from . import output, rng
 from .core import UNBOUNDED, BiasParams
 from .errors import InvalidParamsError, InvalidReplicatesError
 from .metrics import entropy_from_counts
@@ -36,6 +36,7 @@ DEFAULT_MAX_ROUNDS = 200
 class FixedHorizon:
     """Run exactly this many rounds (None: one full round-robin, N-1)."""
 
+    open_ended: ClassVar[bool] = False
     rounds: int | None = None
 
 
@@ -44,9 +45,12 @@ class UntilConvergence:
     """Run the full round-robin, then cycle the schedule until the round's
     productions are unanimous, giving up after max_rounds."""
 
+    open_ended: ClassVar[bool] = True
     max_rounds: int = DEFAULT_MAX_ROUNDS
 
 
+# open_ended: runs may stop at convergence, so summaries add a
+# time-to-convergence row.
 Horizon = FixedHorizon | UntilConvergence
 
 
@@ -107,43 +111,6 @@ class ParameterPoint:
         return builtin_schedule(ConnectivityKind(self.connectivity), self.n_agents)
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    """A parameter point plus how long to run it and where seeds come from."""
-
-    point: ParameterPoint = ParameterPoint()
-    horizon: Horizon = FixedHorizon()
-    master_seed: int = 0
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """Everything observable about one run.
-
-    Arrays are indexed by round 1..n_rounds (index 0 is round 1); productions
-    also includes the seeding round 0 as its first row. convergence_round is
-    the first round with zero entropy, None if the run never converged.
-    """
-
-    point: ParameterPoint
-    run_seed: int
-    quality_owner: int
-    productions: np.ndarray  # (n_rounds + 1, n_agents)
-    entropy: np.ndarray
-    entropy_norm: np.ndarray
-    adaptiveness: np.ndarray
-    delta_adaptiveness: np.ndarray
-    convergence_round: int | None
-
-    @property
-    def n_rounds(self) -> int:
-        return len(self.entropy)
-
-    @property
-    def converged(self) -> bool:
-        return self.convergence_round is not None
-
-
 @dataclass
 class BatchResult:
     """Dense per-round metrics for all replicates of one point.
@@ -163,7 +130,7 @@ class BatchResult:
     adaptiveness: np.ndarray
     delta_adaptiveness: np.ndarray
     convergence_rounds: np.ndarray  # 0 where censored
-    productions: np.ndarray | None  # (replicates, max_rounds + 1, n_agents)
+    productions: np.ndarray  # (replicates, max_rounds + 1, n_agents)
 
     @property
     def n_replicates(self) -> int:
@@ -174,7 +141,6 @@ def _simulate_batch(
     point: ParameterPoint,
     horizon: Horizon,
     run_seeds: np.ndarray,
-    keep_productions: bool = True,
 ) -> BatchResult:
     """Run all replicates of one parameter point in lockstep."""
     point.validate()
@@ -303,33 +269,8 @@ def _simulate_batch(
         adaptiveness=adapt,
         delta_adaptiveness=delta,
         convergence_rounds=conv,
-        productions=prods[:, : executed + 1, :] if keep_productions else None,
+        productions=prods[:, : executed + 1, :],
     )
-
-
-def _result_from_batch(batch: BatchResult, r: int) -> RunResult:
-    if batch.productions is None:
-        raise InvalidParamsError("batch was run without keep_productions")
-    T = int(batch.n_rounds[r])
-    conv = int(batch.convergence_rounds[r])
-    return RunResult(
-        point=batch.point,
-        run_seed=int(batch.run_seeds[r]),
-        quality_owner=int(batch.quality_owners[r]),
-        productions=batch.productions[r, : T + 1].copy(),
-        entropy=batch.entropy[r, :T].copy(),
-        entropy_norm=batch.entropy_norm[r, :T].copy(),
-        adaptiveness=batch.adaptiveness[r, :T].copy(),
-        delta_adaptiveness=batch.delta_adaptiveness[r, :T].copy(),
-        convergence_round=conv if 0 < conv <= T else None,
-    )
-
-
-def run_simulation(config: SimulationConfig, replicate_index: int = 0) -> RunResult:
-    """One run, seeded from (master_seed, point 0, replicate_index)."""
-    seed = rng.seed_derive(config.master_seed, 0, replicate_index)
-    batch = _simulate_batch(config.point, config.horizon, [seed])
-    return _result_from_batch(batch, 0)
 
 
 def run_replicates(
@@ -338,7 +279,6 @@ def run_replicates(
     master_seed: int,
     horizon: Horizon = FixedHorizon(),
     point_index: int = 0,
-    keep_productions: bool = True,
 ) -> BatchResult:
     """All replicates of one point as a dense batch."""
     if not isinstance(replicates, int) or replicates < 1:
@@ -347,13 +287,7 @@ def run_replicates(
         [rng.seed_derive(master_seed, point_index, r) for r in range(replicates)],
         dtype=np.uint64,
     )
-    return _simulate_batch(point, horizon, seeds, keep_productions=keep_productions)
-
-
-def iter_results(batch: BatchResult) -> Iterator[RunResult]:
-    """Per-replicate views of a batch (requires kept productions)."""
-    for r in range(batch.n_replicates):
-        yield _result_from_batch(batch, r)
+    return _simulate_batch(point, horizon, seeds)
 
 
 @dataclass(frozen=True)
@@ -429,8 +363,6 @@ class SweepGrid:
 
 def _sweep_point(args) -> tuple[int, "object"]:
     """Worker body: simulate one point and format its output rows."""
-    from . import output  # local import keeps worker pickling light
-
     (point_index, point, master_seed, replicates, horizon, want_runs) = args
     batch = run_replicates(
         point,
@@ -438,7 +370,6 @@ def _sweep_point(args) -> tuple[int, "object"]:
         master_seed,
         horizon=horizon,
         point_index=point_index,
-        keep_productions=want_runs,
     )
     runs_text = output.runs_block(batch) if want_runs else ""
     summaries = output.summarize_batch(batch)

@@ -80,7 +80,3 @@ class SchemaError(MicrosocError, ValueError):
 
 class ConfigError(MicrosocError, ValueError):
     """A sweep configuration file is invalid."""
-
-
-class SinkError(MicrosocError, OSError):
-    """Writing sweep output failed; the checkpoint remains usable for --resume."""

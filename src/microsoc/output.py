@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,27 +39,6 @@ SUMMARY_HEADER = (
 
 ROUND_METRICS = ("entropy", "entropy_norm", "adaptiveness", "delta_adaptiveness")
 TC_METRIC = "time_to_convergence"
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One row of runs.csv; memory is a float so inf can represent unbounded."""
-
-    run_id: int
-    run_seed: int
-    n_agents: int
-    connectivity: str
-    content_bias: float
-    coordination_bias: float
-    memory: float
-    mutation_rate: float
-    quality_owner: int  # 1-based on this surface
-    round_no: int
-    entropy: float
-    entropy_norm: float
-    adaptiveness: float
-    delta_adaptiveness: float
-    converged_flag: int
 
 
 @dataclass(frozen=True)
@@ -133,12 +112,13 @@ def runs_block(batch) -> str:
 
 
 def summarize_batch(batch) -> list[SummaryRecord]:
-    """Per-round aggregate rows for one batch, plus a TC row for ragged batches.
+    """Per-round aggregate rows for one batch, plus a TC row if open-ended.
 
     A round is summarized over the replicates that executed it (all of them
     under a fixed horizon) and only if at least two did. The TC row appears
-    only when run lengths vary (until-convergence mode) and at least one run
-    converged; with a single converged run its sd and ci95 are 0.
+    only under an open-ended horizon (until-convergence mode), whatever the
+    run lengths, and only if at least one run converged; with a single
+    converged run its sd and ci95 are 0.
     """
     point = batch.point
     key = dict(
@@ -149,12 +129,9 @@ def summarize_batch(batch) -> list[SummaryRecord]:
         memory=float(point.memory_window),
         mutation_rate=point.mutation_rate,
     )
-    from .engine import UntilConvergence
-
     out = []
     n_rounds = batch.n_rounds
     ragged = bool(n_rounds.min() != n_rounds.max())
-    open_ended = isinstance(batch.horizon, UntilConvergence)
     by_metric = {
         "entropy": batch.entropy,
         "entropy_norm": batch.entropy_norm,
@@ -176,7 +153,7 @@ def summarize_batch(batch) -> list[SummaryRecord]:
                     n=stats.n, censored_n=0,
                 )
             )
-    if open_ended:
+    if batch.horizon.open_ended:
         conv = batch.convergence_rounds
         done = conv[conv > 0]
         n = len(done)
@@ -194,28 +171,6 @@ def summarize_batch(batch) -> list[SummaryRecord]:
                 )
             )
     return out
-
-
-def run_row(rec: RunRecord) -> str:
-    return ",".join(
-        (
-            str(rec.run_id),
-            str(rec.run_seed),
-            str(rec.n_agents),
-            rec.connectivity,
-            fmt_float(rec.content_bias),
-            fmt_float(rec.coordination_bias),
-            fmt_memory(rec.memory),
-            fmt_float(rec.mutation_rate),
-            str(rec.quality_owner),
-            str(rec.round_no),
-            fmt_float(rec.entropy),
-            fmt_float(rec.entropy_norm),
-            fmt_float(rec.adaptiveness),
-            fmt_float(rec.delta_adaptiveness),
-            str(rec.converged_flag),
-        )
-    )
 
 
 def summary_row(rec: SummaryRecord) -> str:
@@ -242,41 +197,6 @@ def summary_block(records) -> str:
     return "".join(summary_row(r) + "\n" for r in records)
 
 
-def records_from_result(result, run_id: int) -> list[RunRecord]:
-    """RunRecords for one RunResult (used by the simulate command)."""
-    point = result.point
-    out = []
-    for t in range(1, result.n_rounds + 1):
-        h = float(result.entropy[t - 1])
-        out.append(
-            RunRecord(
-                run_id=run_id,
-                run_seed=result.run_seed,
-                n_agents=point.n_agents,
-                connectivity=ConnectivityKind(point.connectivity).value,
-                content_bias=point.content_sensitivity,
-                coordination_bias=point.coordination_bias,
-                memory=float(point.memory_window),
-                mutation_rate=point.mutation_rate,
-                quality_owner=result.quality_owner + 1,
-                round_no=t,
-                entropy=h,
-                entropy_norm=float(result.entropy_norm[t - 1]),
-                adaptiveness=float(result.adaptiveness[t - 1]),
-                delta_adaptiveness=float(result.delta_adaptiveness[t - 1]),
-                converged_flag=int(h == 0.0),
-            )
-        )
-    return out
-
-
-def write_runs(records, path) -> None:
-    with open(str(path), "wb") as fh:
-        fh.write((RUNS_HEADER + "\n").encode("ascii"))
-        for rec in records:
-            fh.write((run_row(rec) + "\n").encode("ascii"))
-
-
 def write_summary(records, path) -> None:
     with open(str(path), "wb") as fh:
         fh.write((SUMMARY_HEADER + "\n").encode("ascii"))
@@ -288,33 +208,6 @@ def _check_header(row, expected: str, path) -> None:
         raise SchemaError(
             f"{path}: header mismatch, expected {expected!r}"
         )
-
-
-def read_runs(path) -> list[RunRecord]:
-    with open(str(path), "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        _check_header(next(reader, None), RUNS_HEADER, path)
-        out = []
-        for row in reader:
-            if len(row) != 15:
-                raise SchemaError(f"{path}: expected 15 columns, got {len(row)}")
-            try:
-                out.append(
-                    RunRecord(
-                        run_id=int(row[0]), run_seed=int(row[1]),
-                        n_agents=int(row[2]), connectivity=row[3],
-                        content_bias=float(row[4]), coordination_bias=float(row[5]),
-                        memory=float(row[6]), mutation_rate=float(row[7]),
-                        quality_owner=int(row[8]), round_no=int(row[9]),
-                        entropy=float(row[10]), entropy_norm=float(row[11]),
-                        adaptiveness=float(row[12]),
-                        delta_adaptiveness=float(row[13]),
-                        converged_flag=int(row[14]),
-                    )
-                )
-            except ValueError as exc:
-                raise SchemaError(f"{path}: bad value in row {row!r}: {exc}") from None
-        return out
 
 
 def read_summary(path) -> list[SummaryRecord]:

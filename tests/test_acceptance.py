@@ -297,7 +297,7 @@ def test_criterion_08_punctuational_bursts(full_sweep, capsys):
                 content_sensitivity=0.8,
                 memory_window=UNBOUNDED,
             )
-            batch = run_replicates(point, 1000, MASTER, keep_productions=False)
+            batch = run_replicates(point, 1000, MASTER)
             mean_delta = batch.delta_adaptiveness.mean(axis=0)
             larger[n][kind.value] = detect_bursts(list(mean_delta))
         parts.append(f"N={n} late {larger[n]['late']} / early {larger[n]['early']}")
@@ -322,10 +322,7 @@ def test_criterion_09_time_to_convergence_ordering(capsys):
             content_sensitivity=b,
             memory_window=UNBOUNDED,
         )
-        batch = run_replicates(
-            point, reps, MASTER,
-            horizon=UntilConvergence(TC_CAP), keep_productions=False,
-        )
+        batch = run_replicates(point, reps, MASTER, horizon=UntilConvergence(TC_CAP))
         # Censored runs count at the cap, which can only understate how
         # much slower the slow condition is.
         conv = batch.convergence_rounds

@@ -1,13 +1,19 @@
 """End-to-end command-line coverage: exit codes, stdout, and files."""
 
+import csv
 import json
+import os
 import re
+from pathlib import Path
 
 import pytest
 
-from microsoc.cli import DEFAULT_CONFIG, main
-from microsoc.output import read_runs, read_summary
-from microsoc.schedule import builtin_schedule, load_schedule
+from microsoc import engine
+from microsoc.cli import DEFAULT_CONFIG, _validated_config, main
+from microsoc.output import CsvSweepSink, read_summary
+from microsoc.schedule import builtin_schedule, export_schedule, load_schedule
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +35,20 @@ def small_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return path
+
+
+def fail_write_at(monkeypatch, point_index):
+    """Make CsvSweepSink.write_point tear its write of one point and raise."""
+    original = CsvSweepSink.write_point
+
+    def write_point(self, index, runs_text, summaries):
+        if index == point_index:
+            self._runs.write(runs_text[: len(runs_text) // 2].encode("ascii"))
+            self._runs.flush()
+            raise OSError(28, "No space left on device")
+        original(self, index, runs_text, summaries)
+
+    monkeypatch.setattr(CsvSweepSink, "write_point", write_point)
 
 
 class TestSimulate:
@@ -85,8 +105,9 @@ class TestSimulate:
         assert code == 0
         assert "# converged runs: 5/5" in out
         assert "# mean time to convergence:" in out
-        records = read_runs(out_file)
-        assert len({r.run_seed for r in records}) == 5
+        with open(out_file, newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert len({r["run_seed"] for r in records}) == 5
 
     def test_custom_schedule_file_as_connectivity(self, capsys, tmp_path):
         sched_file = tmp_path / "pairs.txt"
@@ -196,6 +217,73 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", str(config))
         assert code == 2
         assert "content_bias_levels" in err
+
+    @pytest.mark.parametrize("key,levels", [
+        ("population_sizes", [8, 8]),
+        ("connectivity", ["early", "late", "early"]),
+        ("coordination_bias_levels", [0.5, 0.5]),
+        ("content_bias_levels", [0, 0.0]),
+        ("memory_levels", ["inf", 3, "inf"]),
+    ])
+    def test_duplicate_levels_rejected(self, capsys, tmp_path, key, levels):
+        config = small_config(tmp_path, **{key: levels})
+        code, _, err = run_cli(capsys, "sweep", str(config))
+        assert code == 2
+        assert key in err
+
+    def test_write_failure_exits_1_and_resume_completes(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        (tmp_path / "clean").mkdir()
+        (tmp_path / "broken").mkdir()
+        clean = small_config(tmp_path / "clean")
+        broken = small_config(tmp_path / "broken")
+        assert run_cli(capsys, "sweep", str(clean), "--threads", "1")[0] == 0
+        with monkeypatch.context() as patch:
+            fail_write_at(patch, 3)
+            code, _, err = run_cli(capsys, "sweep", str(broken), "--threads", "1")
+        assert code == 1
+        assert "No space left on device" in err
+        code, out, _ = run_cli(capsys, "sweep", str(broken), "--resume", "--threads", "1")
+        assert code == 0
+        assert "resuming at point 4/8" in out
+        for name in ("runs.csv", "summary.csv"):
+            assert (tmp_path / "broken" / "out" / name).read_bytes() == (
+                tmp_path / "clean" / "out" / name
+            ).read_bytes()
+
+    def test_resume_refuses_edited_schedule_file(self, capsys, tmp_path, monkeypatch):
+        sched_file = tmp_path / "pairs.txt"
+        export_schedule(builtin_schedule("late", 8), sched_file)
+        config = small_config(tmp_path, connectivity=[str(sched_file)])
+        with monkeypatch.context() as patch:
+            fail_write_at(patch, 2)
+            assert run_cli(capsys, "sweep", str(config), "--threads", "1")[0] == 1
+        export_schedule(builtin_schedule("early", 8), sched_file)
+        code, _, err = run_cli(capsys, "sweep", str(config), "--resume")
+        assert code == 2
+        assert "different configuration" in err
+        export_schedule(builtin_schedule("late", 8), sched_file)
+        assert run_cli(capsys, "sweep", str(config), "--resume")[0] == 0
+
+    def test_default_threads_follow_affinity_mask(self, capsys, tmp_path, monkeypatch):
+        cpus = set(range((os.cpu_count() or 1) + 1))
+        seen = {}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(
+            engine, "sweep", lambda *args, workers, **kw: seen.update(workers=workers)
+        )
+        assert run_cli(capsys, "sweep", str(small_config(tmp_path)))[0] == 0
+        assert seen["workers"] == len(cpus)
+
+    def test_readme_config_block_matches_validator(self, tmp_path):
+        readme = README.read_text(encoding="utf-8")
+        block = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        assert json.loads(block) == DEFAULT_CONFIG
+        assert '{"fixed_owner": k}' in readme
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"quality_mode": {"fixed_owner": 1}}))
+        assert _validated_config(str(path))["quality_mode"] == {"fixed_owner": 1}
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = small_config(tmp_path, typo_key=3)

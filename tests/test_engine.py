@@ -9,12 +9,9 @@ from microsoc import metrics, rng
 from microsoc.engine import (
     FixedHorizon,
     ParameterPoint,
-    SimulationConfig,
     SweepGrid,
     UntilConvergence,
-    iter_results,
     run_replicates,
-    run_simulation,
     sweep,
 )
 from microsoc.errors import InvalidParamsError, InvalidReplicatesError
@@ -33,7 +30,6 @@ def batch_equals_scalar(point, replicates=3, rounds=None):
     for r in range(replicates):
         seed = rng.seed_derive(MASTER, 0, r)
         prods, entropies, conv = scalar_run(point, seed, rounds)
-        assert batch.productions is not None
         assert np.array_equal(batch.productions[r], np.asarray(prods))
         assert np.array_equal(batch.entropy[r], np.asarray(entropies))
         expected_conv = 0 if conv is None else conv
@@ -87,21 +83,17 @@ class TestScalarAgreement:
 
 class TestDeterminism:
     def test_identical_config_identical_result(self):
-        config = SimulationConfig(
-            ParameterPoint(content_sensitivity=0.7), FixedHorizon(), MASTER
-        )
-        a = run_simulation(config, replicate_index=5)
-        b = run_simulation(config, replicate_index=5)
+        point = ParameterPoint(content_sensitivity=0.7)
+        a = run_replicates(point, 6, MASTER)
+        b = run_replicates(point, 6, MASTER)
         assert np.array_equal(a.productions, b.productions)
-        assert a.run_seed == b.run_seed
-        assert a.convergence_round == b.convergence_round
+        assert np.array_equal(a.run_seeds, b.run_seeds)
+        assert np.array_equal(a.convergence_rounds, b.convergence_rounds)
 
     def test_replicates_differ(self):
-        config = SimulationConfig(ParameterPoint(), FixedHorizon(), MASTER)
-        a = run_simulation(config, replicate_index=0)
-        b = run_simulation(config, replicate_index=1)
-        assert a.run_seed != b.run_seed
-        assert not np.array_equal(a.productions, b.productions)
+        batch = run_replicates(ParameterPoint(), 2, MASTER)
+        assert batch.run_seeds[0] != batch.run_seeds[1]
+        assert not np.array_equal(batch.productions[0], batch.productions[1])
 
     def test_pair_order_within_rounds_is_irrelevant(self):
         base = builtin_schedule(ConnectivityKind.EARLY, 8)
@@ -210,31 +202,27 @@ class TestValidationAndShapes:
         with pytest.raises(InvalidParamsError):
             run_replicates(ParameterPoint(n_agents=10), 1, MASTER)
 
-    def test_iter_results_requires_kept_productions(self):
-        batch = run_replicates(ParameterPoint(), 3, MASTER, keep_productions=False)
-        assert batch.productions is None
-        with pytest.raises(InvalidParamsError):
-            next(iter_results(batch))
-
-    def test_iter_results_matches_single_runs(self):
+    def test_smaller_batch_is_prefix_of_larger(self):
+        # Replicate r's seed depends on r alone, so a 2-replicate batch is
+        # the first 2 rows of a 4-replicate batch.
         point = ParameterPoint(content_sensitivity=0.2)
-        batch = run_replicates(point, 4, MASTER)
-        for r, result in enumerate(iter_results(batch)):
-            single = run_simulation(SimulationConfig(point, FixedHorizon(), MASTER), r)
-            assert np.array_equal(result.productions, single.productions)
-            assert result.quality_owner == single.quality_owner
-            assert result.convergence_round == single.convergence_round
+        large = run_replicates(point, 4, MASTER)
+        small = run_replicates(point, 2, MASTER)
+        for name in ("run_seeds", "quality_owners", "productions", "entropy",
+                     "adaptiveness", "delta_adaptiveness", "convergence_rounds"):
+            assert np.array_equal(getattr(small, name), getattr(large, name)[:2])
 
     def test_metrics_recompute_from_productions(self):
         point = ParameterPoint(content_sensitivity=0.5, quality_owner=2)
-        for result in iter_results(run_replicates(point, 5, MASTER)):
-            for t in range(1, result.n_rounds + 1):
-                prods = list(result.productions[t])
-                assert result.entropy[t - 1] == metrics.entropy(prods, 8)
-                assert result.adaptiveness[t - 1] == metrics.adaptiveness(prods, [2])
-            a_series = [1 / 8] + list(result.adaptiveness)
+        batch = run_replicates(point, 5, MASTER)
+        for r in range(batch.n_replicates):
+            for t in range(1, int(batch.n_rounds[r]) + 1):
+                prods = list(batch.productions[r, t])
+                assert batch.entropy[r, t - 1] == metrics.entropy(prods, 8)
+                assert batch.adaptiveness[r, t - 1] == metrics.adaptiveness(prods, [2])
+            a_series = [1 / 8] + list(batch.adaptiveness[r])
             assert np.allclose(
-                result.delta_adaptiveness,
+                batch.delta_adaptiveness[r],
                 metrics.delta_adaptiveness(a_series),
                 atol=0,
                 rtol=0,
@@ -245,16 +233,14 @@ class TestStatisticalInvariants:
     def test_neutral_adaptiveness_stays_at_chance(self):
         # No content bias, neutral coordination: the high-quality fraction is
         # a martingale started at 1/N, so every round's mean sits at chance.
-        batch = run_replicates(ParameterPoint(), 10_000, MASTER, keep_productions=False)
+        batch = run_replicates(ParameterPoint(), 10_000, MASTER)
         for t in range(7):
             col = batch.adaptiveness[:, t]
             se = col.std(ddof=1) / math.sqrt(len(col))
             assert abs(col.mean() - 1 / 8) < 3 * se
 
     def test_content_bias_lifts_adaptiveness(self):
-        batch = run_replicates(
-            ParameterPoint(content_sensitivity=0.8), 2_000, MASTER, keep_productions=False
-        )
+        batch = run_replicates(ParameterPoint(content_sensitivity=0.8), 2_000, MASTER)
         assert batch.adaptiveness[:, -1].mean() > 0.5
 
     def test_egocentric_population_never_moves(self):

@@ -1,5 +1,7 @@
 """CSV formats, round-trips, summaries, and the resumable sweep sink."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -24,15 +26,11 @@ from microsoc.output import (
     SUMMARY_HEADER,
     fmt_float,
     fmt_memory,
-    read_runs,
     read_summary,
-    records_from_result,
     runs_block,
     summarize_batch,
-    write_runs,
     write_summary,
 )
-from microsoc.engine import iter_results
 from microsoc.schedule import ConnectivityKind
 
 MASTER = 20240101
@@ -61,79 +59,51 @@ class TestFieldFormats:
         assert fmt_memory(math.inf) == "inf"
 
 
-class TestRunRecords:
+def parse_runs(text):
+    """The rows of a runs.csv text as dicts keyed by column name."""
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+class TestRunsBlock:
     def make_records(self, point=None, replicates=3):
         point = point or ParameterPoint(content_sensitivity=0.4, quality_owner=1)
         batch = run_replicates(point, replicates, MASTER)
-        records = []
-        for run_id, result in enumerate(iter_results(batch)):
-            records.extend(records_from_result(result, run_id))
-        return records
+        return parse_runs(RUNS_HEADER + "\n" + runs_block(batch))
 
     def test_one_row_per_round(self):
         records = self.make_records(replicates=2)
         assert len(records) == 2 * 7
-        assert [r.round_no for r in records[:7]] == list(range(1, 8))
+        assert [int(r["round"]) for r in records[:7]] == list(range(1, 8))
 
     def test_round_trip_through_file(self, tmp_path):
-        records = self.make_records()
+        batch = run_replicates(
+            ParameterPoint(content_sensitivity=0.4, memory_window=3.0), 3, MASTER
+        )
         path = tmp_path / "runs.csv"
-        write_runs(records, path)
-        assert read_runs(path) == records
+        path.write_text(RUNS_HEADER + "\n" + runs_block(batch))
+        records = parse_runs(path.read_text())
+        assert [int(r["run_seed"]) for r in records[::7]] == list(batch.run_seeds)
+        for name in ("entropy", "entropy_norm", "adaptiveness", "delta_adaptiveness"):
+            parsed = np.array([float(r[name]) for r in records]).reshape(3, 7)
+            assert np.array_equal(parsed, getattr(batch, name))
+        assert {r["memory"] for r in records} == {"3"}
 
     def test_empty_write_is_header_only(self, tmp_path):
-        path = tmp_path / "runs.csv"
-        write_runs([], path)
-        assert path.read_text() == RUNS_HEADER + "\n"
-        assert read_runs(path) == []
+        sink = CsvSweepSink(tmp_path, "digest-1")
+        sink.finalize()
+        assert (tmp_path / "runs.csv").read_text() == RUNS_HEADER + "\n"
 
     def test_external_ids_are_one_based(self):
         records = self.make_records()
-        assert records[0].quality_owner == 2  # internal owner 1
+        assert records[0]["quality_owner"] == "2"  # internal owner 1
 
     def test_converged_flag_marks_unanimous_rounds(self):
         point = ParameterPoint(
             content_sensitivity=1.0, mutation_rate=0.0, quality_owner=0
         )
         records = self.make_records(point, replicates=1)
-        assert [r.converged_flag for r in records] == [0, 0, 0, 1, 1, 1, 1]
-        assert records[3].entropy == 0.0
-
-    def test_runs_block_equals_rowwise_serialization(self):
-        point = ParameterPoint(content_sensitivity=0.4, quality_owner=1)
-        batch = run_replicates(point, 3, MASTER)
-        from microsoc.output import run_row
-
-        expected = "".join(
-            run_row(rec) + "\n"
-            for run_id, result in enumerate(iter_results(batch))
-            for rec in records_from_result(result, run_id)
-        )
-        assert runs_block(batch) == expected
-
-    def test_schema_error_on_wrong_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("nope,nope\n")
-        with pytest.raises(SchemaError):
-            read_runs(path)
-
-    def test_schema_error_on_short_row(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(RUNS_HEADER + "\n1,2,3\n")
-        with pytest.raises(SchemaError):
-            read_runs(path)
-
-    def test_schema_error_on_non_numeric_value(self, tmp_path):
-        records = self.make_records(replicates=1)
-        path = tmp_path / "runs.csv"
-        write_runs(records, path)
-        text = path.read_text().splitlines()
-        parts = text[1].split(",")
-        parts[10] = "three"
-        text[1] = ",".join(parts)
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(SchemaError):
-            read_runs(path)
+        assert [r["converged_flag"] for r in records] == list("0001111")
+        assert float(records[3]["entropy"]) == 0.0
 
 
 class TestSummaries:
@@ -169,25 +139,10 @@ class TestSummaries:
         batch = run_replicates(point, 40, MASTER)
         rows = summarize_batch(batch)
 
-        path = tmp_path / "runs.csv"
-        write_runs(
-            [
-                rec
-                for run_id, result in enumerate(iter_results(batch))
-                for rec in records_from_result(result, run_id)
-            ],
-            path,
-        )
-        raw = read_runs(path)
-        by_metric = {
-            "entropy": lambda r: r.entropy,
-            "entropy_norm": lambda r: r.entropy_norm,
-            "adaptiveness": lambda r: r.adaptiveness,
-            "delta_adaptiveness": lambda r: r.delta_adaptiveness,
-        }
+        raw = parse_runs(RUNS_HEADER + "\n" + runs_block(batch))
         for row in rows:
             values = [
-                by_metric[row.metric](r) for r in raw if r.round_no == row.round_no
+                float(r[row.metric]) for r in raw if int(r["round"]) == row.round_no
             ]
             stats = metrics.aggregate(values)
             assert stats.mean == row.mean
