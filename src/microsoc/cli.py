@@ -19,7 +19,7 @@ import os
 import sys
 import time
 
-from . import engine, output, plotting
+from . import __version__, engine, output, plotting
 from .core import UNBOUNDED
 from .errors import ConfigError, MicrosocError, ScheduleValidationError
 from .schedule import (
@@ -257,6 +257,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _is_int(v) -> bool:
+    """An integer that is not a JSON boolean (bool subclasses int)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
 def _validated_config(path: str | None) -> dict:
     """The merged, schema-checked sweep configuration."""
     config = dict(DEFAULT_CONFIG)
@@ -278,7 +287,7 @@ def _validated_config(path: str | None) -> dict:
 
     sizes = config["population_sizes"]
     if not (isinstance(sizes, list) and sizes
-            and all(isinstance(n, int) and n >= 2 for n in sizes)):
+            and all(_is_int(n) and n >= 2 for n in sizes)):
         fail("population_sizes must be a nonempty list of integers >= 2")
     conn = config["connectivity"]
     if not (isinstance(conn, list) and conn
@@ -287,11 +296,11 @@ def _validated_config(path: str | None) -> dict:
     for key in ("coordination_bias_levels", "content_bias_levels"):
         levels = config[key]
         if not (isinstance(levels, list) and levels
-                and all(isinstance(v, (int, float)) and 0 <= v <= 1 for v in levels)):
+                and all(_is_number(v) and 0 <= v <= 1 for v in levels)):
             fail(f"{key} must be a nonempty list of numbers in [0,1]")
     mem = config["memory_levels"]
     ok_mem = isinstance(mem, list) and mem and all(
-        (isinstance(v, int) and v >= 1) or v == "inf" for v in mem
+        (_is_int(v) and v >= 1) or v == "inf" for v in mem
     )
     if not ok_mem:
         fail("memory_levels must be a nonempty list of integers >= 1 or \"inf\"")
@@ -299,12 +308,13 @@ def _validated_config(path: str | None) -> dict:
                 "content_bias_levels", "memory_levels"):
         if len(set(config[key])) != len(config[key]):
             fail(f"{key} must not repeat a level")
-    if not (isinstance(config["mutation_rate"], (int, float))
+    if not (_is_number(config["mutation_rate"])
             and 0 <= config["mutation_rate"] <= 1):
         fail("mutation_rate must lie in [0,1]")
-    if not (isinstance(config["replicates"], int) and config["replicates"] >= 1):
-        fail("replicates must be an integer >= 1")
-    if not isinstance(config["master_seed"], int):
+    if not (_is_int(config["replicates"]) and config["replicates"] >= 2):
+        fail("replicates must be an integer >= 2: summary rows need at least "
+             "2 replicates")
+    if not _is_int(config["master_seed"]):
         fail("master_seed must be an integer")
     if config["horizon_mode"] not in ("fixed", "until_convergence"):
         fail("horizon_mode must be 'fixed' or 'until_convergence'")
@@ -313,7 +323,7 @@ def _validated_config(path: str | None) -> dict:
     quality = config["quality_mode"]
     if quality != "random":
         if not (isinstance(quality, dict) and set(quality) == {"fixed_owner"}
-                and isinstance(quality["fixed_owner"], int)
+                and _is_int(quality["fixed_owner"])
                 and quality["fixed_owner"] >= 1):
             fail("quality_mode must be \"random\" or {\"fixed_owner\": k} with k >= 1")
         if any(quality["fixed_owner"] > n for n in sizes):
@@ -364,25 +374,28 @@ def cmd_sweep(args) -> int:
         workers = len(os.sched_getaffinity(0))
     else:
         workers = os.cpu_count() or 1
-    if args.resume:
-        done_marker = os.path.join(config["output_dir"], output.CsvSweepSink.CHECKPOINT)
-        try:
-            with open(done_marker, "r", encoding="utf-8") as fh:
-                if json.load(fh).get("complete"):
-                    print("sweep already complete; nothing to resume")
-                    return 0
-        except (OSError, json.JSONDecodeError):
-            pass  # let the sink report the precise problem
     # Hash each custom schedule's content, not its path, so that --resume
-    # refuses a schedule file edited since the sweep began.
-    hashed = dict(config, connectivity=[
+    # refuses a schedule file edited since the sweep began; hash the package
+    # version, so that it refuses an upgrade that may change output bytes.
+    hashed = dict(config, version=__version__, connectivity=[
         dumps_schedule(grid.custom_schedules[v], "json") if v in grid.custom_schedules
         else v
         for v in config["connectivity"]
     ])
-    sink = output.CsvSweepSink(
-        config["output_dir"], config_digest(hashed), resume=args.resume
-    )
+    digest = config_digest(hashed)
+    if args.resume:
+        done_marker = os.path.join(config["output_dir"], output.CsvSweepSink.CHECKPOINT)
+        try:
+            with open(done_marker, "r", encoding="utf-8") as fh:
+                state = json.load(fh)
+        except (OSError, json.JSONDecodeError):
+            state = {}  # let the sink report the precise problem
+        # A completed checkpoint of another config falls through to the sink,
+        # which refuses it.
+        if state.get("complete") and state.get("digest") == digest:
+            print("sweep already complete; nothing to resume")
+            return 0
+    sink = output.CsvSweepSink(config["output_dir"], digest, resume=args.resume)
     total = len(grid.points())
     start = sink.start_index()
     if args.resume:

@@ -8,6 +8,11 @@ written in exactly the IEEE evaluation order of the scalar rule in core.py
 the uniforms come from the same counter-based keys, so a batched run is
 bit-identical to the scalar reference loop; tests enforce that.
 
+Under an open-ended horizon the kernel steps only the replicates still
+running: one that has converged and finished the round-robin retires, and its
+columns past n_rounds hold a fixed fill (NaN, and -1 for productions), so a
+replicate's row depends on its seed alone, never on its batch-mates.
+
 Sweeps iterate the parameter grid in a fixed order and derive every run seed
 from (master_seed, point_index, replicate_index) alone, which makes output
 independent of worker count and lets an interrupted sweep resume exactly.
@@ -117,7 +122,10 @@ class BatchResult:
 
     Rows of the metric arrays are replicates; columns are rounds 1..max
     executed. n_rounds[r] says how many leading columns are meaningful for
-    replicate r (they differ only in until-convergence mode).
+    replicate r (they differ only in until-convergence mode). The columns
+    past n_rounds[r] are NaN in the four metric arrays and -1 in productions
+    (where column t is round t, so the fill starts at n_rounds[r] + 1): a
+    converged replicate is no longer stepped.
     """
 
     point: ParameterPoint
@@ -164,7 +172,7 @@ def _simulate_batch(
         stop_early = True
 
     n_reps = len(run_seeds)
-    seeds = np.asarray([s & rng.MASK64 for s in run_seeds], dtype=np.uint64)
+    seeds = np.asarray(run_seeds, dtype=np.uint64)
     if point.quality_owner is not None:
         owners = np.full(n_reps, point.quality_owner, dtype=np.int64)
     else:
@@ -177,37 +185,45 @@ def _simulate_batch(
     mu_floor = mu / n_variants
     log2n = math.log2(n)
 
+    # History, indexed by replicate: full-size for the whole run.
     prods = np.empty((n_reps, max_rounds + 1, n), dtype=np.int16)
     prods[:, 0, :] = np.arange(n, dtype=np.int16)
     heard = np.empty((n_reps, max_rounds + 1, n), dtype=np.int16)
-
-    ego_counts = np.zeros((n_reps, n, n_variants), dtype=np.int32)
-    allo_counts = np.zeros((n_reps, n, n_variants), dtype=np.int32)
-    flat_rows = np.arange(n_reps * n)
-    ego_flat = ego_counts.reshape(n_reps * n, n_variants)
-    allo_flat = allo_counts.reshape(n_reps * n, n_variants)
-
     ent = np.zeros((n_reps, max_rounds))
     adapt = np.zeros((n_reps, max_rounds))
     conv = np.zeros(n_reps, dtype=np.int64)
-    rep_idx = np.arange(n_reps)
     agent_ids = np.arange(n, dtype=np.uint64)
+
+    # Working state of the active set: its row i belongs to replicate rows[i].
+    # `active` indexes the history with a basic slice while the set is whole.
+    rows = np.arange(n_reps)
+    active = slice(None)
+    act_seeds, act_owners = seeds, owners
+    ego_counts = np.zeros((n_reps, n, n_variants), dtype=np.int32)
+    allo_counts = np.zeros((n_reps, n, n_variants), dtype=np.int32)
+    target = np.zeros((n_reps, n_variants))
+    target[rows, owners] = 1.0
 
     def window_start(t: int) -> int:
         return 0 if math.isinf(m) else max(0, t - int(m))
 
     executed = 0
     for t in range(1, max_rounds + 1):
+        k = len(rows)
+        rep_idx = np.arange(k)
+        flat_rows = np.arange(k * n)
+        ego_flat = ego_counts.reshape(k * n, n_variants)
+        allo_flat = allo_counts.reshape(k * n, n_variants)
         # Slide the window to [window_start(t), t-1]: the previous round's
         # productions enter, rounds that fell off the left edge leave.
-        ego_flat[flat_rows, prods[:, t - 1, :].ravel()] += 1
+        ego_flat[flat_rows, prods[active, t - 1, :].ravel()] += 1
         if t >= 2:
-            allo_flat[flat_rows, heard[:, t - 1, :].ravel()] += 1
+            allo_flat[flat_rows, heard[active, t - 1, :].ravel()] += 1
         lo, prev_lo = window_start(t), window_start(t - 1)
         for w in range(prev_lo, lo):
-            ego_flat[flat_rows, prods[:, w, :].ravel()] -= 1
+            ego_flat[flat_rows, prods[active, w, :].ravel()] -= 1
             if w >= 1:
-                allo_flat[flat_rows, heard[:, w, :].ravel()] -= 1
+                allo_flat[flat_rows, heard[active, w, :].ravel()] -= 1
 
         ego_total = t - lo
         allo_total = t - max(lo, 1)
@@ -218,43 +234,61 @@ def _simulate_batch(
             pooled = (1.0 - c) * f_ego + c * (allo_counts / allo_total)
 
         q_count = (
-            ego_counts[rep_idx, :, owners] + allo_counts[rep_idx, :, owners]
+            ego_counts[rep_idx, :, act_owners] + allo_counts[rep_idx, :, act_owners]
         )  # (reps, agents): occurrences of the high-quality variant in window
         gate = (q_count > 0).astype(np.float64)
         beta = b * gate
-        target = np.zeros((n_reps, n_variants))
-        target[rep_idx, owners] = 1.0
         base = (1.0 - beta)[:, :, None] * pooled + beta[:, :, None] * target[:, None, :]
         probs = (1.0 - mu) * base + mu_floor
 
         cumulative = np.cumsum(probs, axis=-1)
-        u = rng.production_uniform_np(seeds[:, None], agent_ids[None, :], t)
+        u = rng.production_uniform_np(act_seeds[:, None], agent_ids[None, :], t)
         idx = (cumulative <= u[:, :, None]).sum(axis=-1)
         np.minimum(idx, n_variants - 1, out=idx)
-        prods[:, t, :] = idx.astype(np.int16)
-        heard[:, t, :] = prods[:, t, partners[(t - 1) % cycle]]
+        produced = idx.astype(np.int16)
+        prods[active, t, :] = produced
+        heard[active, t, :] = produced[:, partners[(t - 1) % cycle]]
 
         pool_counts = np.bincount(
             (rep_idx[:, None] * n_variants + idx).ravel(),
-            minlength=n_reps * n_variants,
-        ).reshape(n_reps, n_variants)
+            minlength=k * n_variants,
+        ).reshape(k, n_variants)
         h = entropy_from_counts(pool_counts)
-        ent[:, t - 1] = h
-        adapt[:, t - 1] = pool_counts[rep_idx, owners] / n
-        conv[(conv == 0) & (h == 0.0)] = t
+        ent[active, t - 1] = h
+        adapt[active, t - 1] = pool_counts[rep_idx, act_owners] / n
+        conv[rows[(conv[active] == 0) & (h == 0.0)]] = t
 
         executed = t
-        if stop_early and t >= cycle and bool((conv > 0).all()):
-            break
+        if stop_early and t >= cycle:
+            # A converged replicate's n_rounds is final from here on, so it
+            # retires. Retirees keep being stepped until a quarter of the set
+            # has retired; what they compute meanwhile lands past n_rounds,
+            # where the fill below overwrites it.
+            keep = conv[active] == 0
+            kept = int(np.count_nonzero(keep))
+            if kept == 0:
+                break
+            if 4 * (k - kept) >= k:
+                rows = active = rows[keep]
+                act_seeds, act_owners = act_seeds[keep], act_owners[keep]
+                ego_counts, allo_counts = ego_counts[keep], allo_counts[keep]
+                target = target[keep]
 
     ent = ent[:, :executed]
     adapt = adapt[:, :executed]
     ent_norm = ent / log2n
     a0 = np.full((n_reps, 1), 1 / n)
     delta = np.diff(np.concatenate([a0, adapt], axis=1), axis=1)
+    productions = prods[:, : executed + 1, :]
 
     if stop_early:
         n_rounds = np.where(conv > 0, np.maximum(conv, cycle), executed)
+        # Columns past a replicate's own horizon get a fixed fill, so its row
+        # depends on its seed alone and not on its batch-mates.
+        past = np.arange(executed) >= n_rounds[:, None]
+        for metric in (ent, ent_norm, adapt, delta):
+            metric[past] = np.nan
+        productions[:, 1:, :][past] = -1
     else:
         n_rounds = np.full(n_reps, executed, dtype=np.int64)
 
@@ -269,7 +303,7 @@ def _simulate_batch(
         adaptiveness=adapt,
         delta_adaptiveness=delta,
         convergence_rounds=conv,
-        productions=prods[:, : executed + 1, :],
+        productions=productions,
     )
 
 
@@ -283,10 +317,9 @@ def run_replicates(
     """All replicates of one point as a dense batch."""
     if not isinstance(replicates, int) or replicates < 1:
         raise InvalidReplicatesError(f"replicates must be >= 1, got {replicates!r}")
-    seeds = np.array(
-        [rng.seed_derive(master_seed, point_index, r) for r in range(replicates)],
-        dtype=np.uint64,
-    )
+    # An array, not a numpy scalar: uint64 scalar arithmetic warns on wraparound.
+    master = np.array([master_seed & rng.MASK64], dtype=np.uint64)
+    seeds = rng.absorb_np(master, point_index, np.arange(replicates))
     return _simulate_batch(point, horizon, seeds)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from microsoc import engine
+from microsoc import cli, engine
 from microsoc.cli import DEFAULT_CONFIG, _validated_config, main
 from microsoc.output import CsvSweepSink, read_summary
 from microsoc.schedule import builtin_schedule, export_schedule, load_schedule
@@ -205,6 +205,24 @@ class TestSweep:
         assert code == 0
         assert "already complete" in out
 
+    def test_resume_of_completed_sweep_with_another_config_refused(self, capsys, tmp_path):
+        assert run_cli(capsys, "sweep", str(small_config(tmp_path)))[0] == 0
+        changed = small_config(tmp_path, master_seed=99)
+        code, out, err = run_cli(capsys, "sweep", str(changed), "--resume")
+        assert code == 2
+        assert "refusing to mix outputs" in err
+        assert "already complete" not in out
+
+    def test_resume_across_a_version_change_refused(self, capsys, tmp_path, monkeypatch):
+        config = small_config(tmp_path)
+        with monkeypatch.context() as patch:
+            fail_write_at(patch, 2)
+            assert run_cli(capsys, "sweep", str(config), "--threads", "1")[0] == 1
+        monkeypatch.setattr(cli, "__version__", "99.0.0")
+        code, _, err = run_cli(capsys, "sweep", str(config), "--resume")
+        assert code == 2
+        assert "refusing to mix outputs" in err
+
     def test_rerun_without_resume_overwrites_identically(self, capsys, tmp_path):
         config = small_config(tmp_path)
         run_cli(capsys, "sweep", str(config))
@@ -230,6 +248,27 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", str(config))
         assert code == 2
         assert key in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("population_sizes", [True]),
+        ("coordination_bias_levels", [True]),
+        ("content_bias_levels", [False]),
+        ("memory_levels", [True]),
+        ("mutation_rate", False),
+        ("replicates", True),
+        ("master_seed", True),
+        ("quality_mode", {"fixed_owner": True}),
+    ])
+    def test_booleans_are_not_numbers(self, capsys, tmp_path, key, value):
+        config = small_config(tmp_path, **{key: value})
+        code, _, err = run_cli(capsys, "sweep", str(config))
+        assert code == 2
+        assert key in err
+
+    def test_single_replicate_rejected(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "sweep", str(small_config(tmp_path, replicates=1)))
+        assert code == 2
+        assert "replicates" in err and "at least 2" in err
 
     def test_write_failure_exits_1_and_resume_completes(
         self, capsys, tmp_path, monkeypatch

@@ -168,6 +168,65 @@ class TestHorizons:
             run_replicates(ParameterPoint(), 2, MASTER, horizon=UntilConvergence(3))
 
 
+@pytest.mark.filterwarnings("error")
+class TestActiveSet:
+    # Drift with a short memory: within 60 rounds some replicates converge, at
+    # different rounds, while others run to the cap.
+    POINT = ParameterPoint(coordination_bias=1.0, content_sensitivity=0.0, memory_window=3.0)
+    HORIZON = UntilConvergence(60)
+    METRICS = ("entropy", "entropy_norm", "adaptiveness", "delta_adaptiveness")
+
+    def batch(self, replicates=30):
+        return run_replicates(self.POINT, replicates, MASTER, horizon=self.HORIZON)
+
+    def test_retired_and_censored_replicates_match_scalar(self):
+        batch = self.batch()
+        conv = batch.convergence_rounds
+        assert (conv == 0).any()
+        assert len(set(conv[conv > 0])) > 1
+        for r in range(batch.n_replicates):
+            prods, entropies, scalar_conv = scalar_run(
+                self.POINT, rng.seed_derive(MASTER, 0, r), 60
+            )
+            n = int(batch.n_rounds[r])
+            assert n == (max(scalar_conv, 7) if scalar_conv else 60)
+            assert np.array_equal(batch.productions[r, : n + 1], np.asarray(prods[: n + 1]))
+            assert np.array_equal(batch.entropy[r, :n], np.asarray(entropies[:n]))
+            assert conv[r] == (scalar_conv or 0)
+
+    def test_smaller_batch_is_prefix_of_larger(self):
+        large = self.batch()
+        small = self.batch(2)
+        cols = small.entropy.shape[1]
+        assert cols < large.entropy.shape[1]
+        for name in self.METRICS:
+            assert np.array_equal(
+                getattr(small, name), getattr(large, name)[:2, :cols], equal_nan=True
+            )
+        assert np.array_equal(small.productions, large.productions[:2, : cols + 1])
+        for name in ("run_seeds", "quality_owners", "n_rounds", "convergence_rounds"):
+            assert np.array_equal(getattr(small, name), getattr(large, name)[:2])
+
+    def test_columns_past_n_rounds_hold_the_fill(self):
+        batch = self.batch()
+        assert (batch.n_rounds < batch.entropy.shape[1]).any()
+        for r in range(batch.n_replicates):
+            n = int(batch.n_rounds[r])
+            for name in self.METRICS:
+                row = getattr(batch, name)[r]
+                assert not np.isnan(row[:n]).any()
+                assert np.isnan(row[n:]).all()
+            assert (batch.productions[r, : n + 1] >= 0).all()
+            assert (batch.productions[r, n + 1 :] == -1).all()
+
+    @pytest.mark.parametrize("master", [0, MASTER, 2**64 - 1, 2**70 + 5, -3])
+    def test_vectorized_seeds_equal_scalar_derivation(self, master):
+        batch = run_replicates(ParameterPoint(), 5, master, point_index=9)
+        assert [int(s) for s in batch.run_seeds] == [
+            rng.seed_derive(master, 9, r) for r in range(5)
+        ]
+
+
 class TestValidationAndShapes:
     def test_zero_replicates_rejected(self):
         with pytest.raises(InvalidReplicatesError):
