@@ -391,8 +391,9 @@ def cmd_sweep(args) -> int:
         except (OSError, json.JSONDecodeError):
             state = {}  # let the sink report the precise problem
         # A completed checkpoint of another config falls through to the sink,
-        # which refuses it.
-        if state.get("complete") and state.get("digest") == digest:
+        # which refuses it, as it refuses a checkpoint that is not an object.
+        complete = isinstance(state, dict) and state.get("complete")
+        if complete and state.get("digest") == digest:
             print("sweep already complete; nothing to resume")
             return 0
     sink = output.CsvSweepSink(config["output_dir"], digest, resume=args.resume)
@@ -406,7 +407,13 @@ def cmd_sweep(args) -> int:
     def progress(done: int, n_points: int):
         if done % step == 0 or done == n_points:
             elapsed = time.monotonic() - t0
-            print(f"completed {done}/{n_points} points ({elapsed:.1f}s)", flush=True)
+            # Rate over the points of this invocation, so a resume's ETA holds.
+            rate = (done - start) / max(elapsed, 1e-9)
+            print(
+                f"completed {done}/{n_points} points ({elapsed:.1f}s, "
+                f"{rate:.1f} points/s, ETA {(n_points - done) / rate:.0f}s)",
+                flush=True,
+            )
 
     engine.sweep(
         grid,

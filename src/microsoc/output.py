@@ -8,9 +8,10 @@ fixed by (point index, run id, round), so identical configuration and seed
 produce byte-identical files no matter how execution was parallelized or
 interrupted.
 
-Formatting runs.csv is the sweep's hot path: values repeat heavily across
-rows (an 8-agent round has only a handful of possible entropies), so float
-formatting is memoized.
+Formatting runs.csv is the sweep's hot path. Its values repeat heavily
+across rows (an 8-agent round has only a handful of possible entropies), so
+runs_block formats each distinct row tail of a point once and assembles the
+rows from a table of heads and a table of tails.
 """
 
 from __future__ import annotations
@@ -60,16 +61,9 @@ class SummaryRecord:
     censored_n: int
 
 
-_FLOAT_CACHE: dict[float, str] = {}
-
-
 def fmt_float(x: float) -> str:
-    """'%.17g' with memoization; float() parses the result back exactly."""
-    s = _FLOAT_CACHE.get(x)
-    if s is None:
-        s = "%.17g" % x
-        _FLOAT_CACHE[x] = s
-    return s
+    """'%.17g': float() parses the result back bit-exactly, -0.0 included."""
+    return "%.17g" % x
 
 
 def fmt_memory(m: float) -> str:
@@ -91,24 +85,56 @@ def _point_fields(point) -> str:
 
 
 def runs_block(batch) -> str:
-    """All runs.csv rows (no header) for one point's batch, in run/round order."""
-    point = batch.point
-    mid = _point_fields(point)
-    ent = batch.entropy
-    entn = batch.entropy_norm
-    adapt = batch.adaptiveness
-    delta = batch.delta_adaptiveness
-    flags = (ent == 0.0).astype(np.int8)
-    rows = []
-    for r in range(batch.n_replicates):
-        head = f"{r},{batch.run_seeds[r]},{mid},{batch.quality_owners[r] + 1}"
-        er, nr, ar, dr, fr = ent[r], entn[r], adapt[r], delta[r], flags[r]
-        for t in range(int(batch.n_rounds[r])):
-            rows.append(
-                f"{head},{t + 1},{fmt_float(er[t])},{fmt_float(nr[t])},"
-                f"{fmt_float(ar[t])},{fmt_float(dr[t])},{fr[t]}"
-            )
-    return "\n".join(rows) + "\n" if rows else ""
+    """All runs.csv rows (no header) for one point's batch, in run/round order.
+
+    A row is a per-replicate head (run_id .. quality_owner) and a tail
+    (round .. converged_flag). A point has far fewer distinct tails than
+    rows, so each distinct metric value is formatted once and each distinct
+    tail is built once: cells are keyed by their round and the bit patterns
+    of their four metrics (bits, not values, because -0.0 == 0.0 but
+    formats as "-0"), and rows are joined from the head and tail tables.
+    """
+    n_cols = batch.entropy.shape[1]
+    # Row-major order of the meaningful cells is the file's run/round order.
+    run_idx, round_idx = np.nonzero(np.arange(n_cols) < batch.n_rounds[:, None])
+    if len(run_idx) == 0:
+        return ""
+    key = round_idx.astype(np.int64)
+    span = n_cols
+    levels_of, codes = [], []
+    for a in (batch.entropy, batch.entropy_norm, batch.adaptiveness,
+              batch.delta_adaptiveness):
+        levels, code = np.unique(
+            a[run_idx, round_idx].view(np.uint64), return_inverse=True
+        )
+        levels_of.append(levels.view(np.float64).tolist())
+        codes.append(code)
+        if span * len(levels) >= 2**63:
+            # Renumber the key densely so the next fold cannot overflow.
+            distinct, key = np.unique(key, return_inverse=True)
+            span = len(distinct)
+        key = key * len(levels) + code
+        span *= len(levels)
+    _, first, tail_idx = np.unique(key, return_index=True, return_inverse=True)
+    ent, entn, adapt, delta = (["%.17g" % x for x in lv] for lv in levels_of)
+    converged = [int(x == 0.0) for x in levels_of[0]]
+    tails = [
+        f",{t + 1},{ent[e]},{entn[en]},{adapt[a]},{delta[d]},{converged[e]}\n"
+        for t, e, en, a, d in zip(
+            round_idx[first].tolist(), *(code[first].tolist() for code in codes)
+        )
+    ]
+    mid = _point_fields(batch.point)
+    heads = [
+        f"{r},{seed},{mid},{owner + 1}"
+        for r, (seed, owner) in enumerate(
+            zip(batch.run_seeds.tolist(), batch.quality_owners.tolist())
+        )
+    ]
+    parts = np.empty(2 * len(run_idx), dtype=object)
+    parts[0::2] = np.array(heads, dtype=object)[run_idx]
+    parts[1::2] = np.array(tails, dtype=object)[tail_idx]
+    return "".join(parts.tolist())
 
 
 def summarize_batch(batch) -> list[SummaryRecord]:
@@ -265,6 +291,8 @@ class CsvSweepSink:
     and the byte length of both files after that point. Resuming verifies the
     digest, truncates the files back to those lengths (discarding a torn
     write), and continues; the final bytes equal an uninterrupted execution.
+    A file shorter than its recorded length, or a checkpoint without valid
+    lengths, is refused with ConfigError rather than padded or guessed at.
     """
 
     CHECKPOINT = "checkpoint.json"
@@ -279,6 +307,17 @@ class CsvSweepSink:
         self._next = 0
         if resume:
             state = self._load_checkpoint()
+            for path, key in ((self.runs_path, "runs_bytes"),
+                              (self.summary_path, "summary_bytes")):
+                try:
+                    size = os.path.getsize(path)
+                except FileNotFoundError:
+                    size = 0
+                if size < state[key]:
+                    raise ConfigError(
+                        f"{path} is shorter than the checkpoint records "
+                        f"({size} < {state[key]} bytes); refusing to mix outputs"
+                    )
             os.truncate(self.runs_path, state["runs_bytes"])
             os.truncate(self.summary_path, state["summary_bytes"])
             self._next = state["last_point"] + 1
@@ -301,6 +340,8 @@ class CsvSweepSink:
             ) from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"corrupt checkpoint: {exc}") from None
+        if not isinstance(state, dict):
+            raise ConfigError("corrupt checkpoint: not a JSON object")
         if state.get("digest") != self.digest:
             raise ConfigError(
                 "checkpoint belongs to a different configuration or seed; "
@@ -308,6 +349,13 @@ class CsvSweepSink:
             )
         if state.get("complete"):
             raise ConfigError("sweep already complete; nothing to resume")
+        for key, least in (("last_point", -1), ("runs_bytes", 0), ("summary_bytes", 0)):
+            value = state.get(key)
+            if type(value) is not int or value < least:
+                raise ConfigError(
+                    f"corrupt checkpoint: {key!r} is {value!r}, "
+                    f"expected an integer >= {least}"
+                )
         return state
 
     def _write_checkpoint(self, last_point: int, complete: bool = False) -> None:

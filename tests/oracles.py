@@ -176,3 +176,29 @@ def scalar_run(point: ParameterPoint, run_seed: int, rounds: int | None = None):
         if convergence_round is None and h == 0.0:
             convergence_round = t
     return productions, entropies, convergence_round
+
+
+def reference_runs_block(batch) -> str:
+    """runs.csv rows of a batch, one f-string per (run, round) cell.
+
+    The straightforward row-by-row formatter that output.runs_block replaced;
+    it formats every float with plain '%.17g' and every row afresh.
+    """
+    point = batch.point
+    memory = "inf" if math.isinf(point.memory_window) else str(int(point.memory_window))
+    mid = (
+        f"{point.n_agents},{str(point.connectivity)},"
+        f"{'%.17g' % point.content_sensitivity},{'%.17g' % point.coordination_bias},"
+        f"{memory},{'%.17g' % point.mutation_rate}"
+    )
+    rows = []
+    for r in range(batch.n_replicates):
+        head = f"{r},{batch.run_seeds[r]},{mid},{batch.quality_owners[r] + 1}"
+        for t in range(int(batch.n_rounds[r])):
+            e = float(batch.entropy[r, t])
+            rows.append(
+                f"{head},{t + 1},{'%.17g' % e},{'%.17g' % batch.entropy_norm[r, t]},"
+                f"{'%.17g' % batch.adaptiveness[r, t]},"
+                f"{'%.17g' % batch.delta_adaptiveness[r, t]},{int(e == 0.0)}"
+            )
+    return "".join(row + "\n" for row in rows)

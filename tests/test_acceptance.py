@@ -451,6 +451,10 @@ def test_criterion_12_brute_force_agreement(capsys):
     assert worst <= 1e-12
 
 
+# sha256 of the default sweep's runs.csv, the byte-level oracle of the writer.
+DEFAULT_RUNS_SHA256 = "9de310071ac011ada30c4299f8e4cba7d23af8d25576a729c510e409bae64219"
+
+
 def test_criterion_13_determinism_and_performance(full_sweep, capsys, tmp_path):
     config = {
         "coordination_bias_levels": [0.0, 0.5],
@@ -477,7 +481,8 @@ def test_criterion_13_determinism_and_performance(full_sweep, capsys, tmp_path):
     lines = full_sweep["runs_lines"]
     expected_lines = 1 + N_POINTS * REPLICATES * ROUNDS
     fast = wall < 300.0
-    ok = identical and fast and lines == expected_lines
+    pinned = full_sweep["runs_sha256"] == DEFAULT_RUNS_SHA256
+    ok = identical and fast and pinned and lines == expected_lines
     announce(
         capsys, ok, 13,
         f"1 and 3 worker processes produce byte-identical CSVs "
@@ -488,4 +493,5 @@ def test_criterion_13_determinism_and_performance(full_sweep, capsys, tmp_path):
     )
     assert identical
     assert lines == expected_lines
+    assert full_sweep["runs_sha256"] == DEFAULT_RUNS_SHA256
     assert fast

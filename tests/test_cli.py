@@ -291,6 +291,57 @@ class TestSweep:
                 tmp_path / "clean" / "out" / name
             ).read_bytes()
 
+    def test_resume_refuses_file_shorter_than_checkpoint(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        config = small_config(tmp_path)
+        with monkeypatch.context() as patch:
+            fail_write_at(patch, 3)
+            assert run_cli(capsys, "sweep", str(config), "--threads", "1")[0] == 1
+        runs = tmp_path / "out" / "runs.csv"
+        os.truncate(runs, 200)
+        code, _, err = run_cli(capsys, "sweep", str(config), "--resume")
+        assert code == 2
+        assert "refusing to mix outputs" in err
+        assert runs.stat().st_size == 200
+
+    @pytest.mark.parametrize("key,value", [
+        ("summary_bytes", None), ("runs_bytes", "6547"), ("last_point", 1.5),
+    ])
+    def test_resume_refuses_checkpoint_without_valid_lengths(
+        self, capsys, tmp_path, monkeypatch, key, value
+    ):
+        config = small_config(tmp_path)
+        with monkeypatch.context() as patch:
+            fail_write_at(patch, 3)
+            assert run_cli(capsys, "sweep", str(config), "--threads", "1")[0] == 1
+        checkpoint = tmp_path / "out" / CsvSweepSink.CHECKPOINT
+        state = json.loads(checkpoint.read_text())
+        if value is None:
+            del state[key]
+        else:
+            state[key] = value
+        checkpoint.write_text(json.dumps(state))
+        code, _, err = run_cli(capsys, "sweep", str(config), "--resume")
+        assert code == 2
+        assert "corrupt checkpoint" in err and key in err
+
+    def test_resume_refuses_checkpoint_that_is_not_an_object(self, capsys, tmp_path):
+        config = small_config(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / CsvSweepSink.CHECKPOINT).write_text("[1]")
+        code, _, err = run_cli(capsys, "sweep", str(config), "--resume")
+        assert code == 2
+        assert "corrupt checkpoint" in err
+
+    def test_progress_line_reports_rate_and_eta(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "sweep", str(small_config(tmp_path)))
+        assert code == 0
+        last = [line for line in out.splitlines() if line.startswith("completed")][-1]
+        assert re.fullmatch(
+            r"completed 8/8 points \([\d.]+s, [\d.]+ points/s, ETA 0s\)", last
+        )
+
     def test_resume_refuses_edited_schedule_file(self, capsys, tmp_path, monkeypatch):
         sched_file = tmp_path / "pairs.txt"
         export_schedule(builtin_schedule("late", 8), sched_file)

@@ -11,6 +11,7 @@ import pytest
 
 from microsoc import metrics
 from microsoc.engine import (
+    BatchResult,
     FixedHorizon,
     ParameterPoint,
     SweepGrid,
@@ -32,6 +33,7 @@ from microsoc.output import (
     write_summary,
 )
 from microsoc.schedule import ConnectivityKind
+from oracles import reference_runs_block
 
 MASTER = 20240101
 
@@ -53,6 +55,11 @@ class TestFieldFormats:
         assert fmt_float(0.0) == "0"
         assert fmt_float(1.0) == "1"
         assert fmt_float(0.5) == "0.5"
+
+    def test_negative_zero_keeps_its_sign_after_positive_zero(self):
+        assert fmt_float(0.0) == "0"
+        assert fmt_float(-0.0) == "-0"
+        assert math.copysign(1.0, float(fmt_float(-0.0))) == -1.0
 
     def test_memory_field(self):
         assert fmt_memory(3.0) == "3"
@@ -104,6 +111,85 @@ class TestRunsBlock:
         records = self.make_records(point, replicates=1)
         assert [r["converged_flag"] for r in records] == list("0001111")
         assert float(records[3]["entropy"]) == 0.0
+
+
+def assert_matches_reference(batch):
+    # Compared as line lists: a failing comparison then names the first row
+    # that differs instead of diffing megabytes of text.
+    assert runs_block(batch).split("\n") == reference_runs_block(batch).split("\n")
+
+
+class TestRunsBlockMatchesReference:
+    """runs_block is byte-identical to the row-by-row reference formatter."""
+
+    def test_fixed_horizon(self):
+        batch = run_replicates(ParameterPoint(content_sensitivity=0.7), 60, MASTER)
+        assert_matches_reference(batch)
+
+    def test_ragged_until_convergence_under_drift(self):
+        point = ParameterPoint(
+            coordination_bias=1.0, content_sensitivity=0.0, memory_window=3.0
+        )
+        batch = run_replicates(point, 30, MASTER, horizon=UntilConvergence(60))
+        assert len(set(batch.n_rounds.tolist())) > 1
+        assert np.isnan(batch.entropy).any()
+        assert_matches_reference(batch)
+
+    def test_fixed_quality_owner(self):
+        point = ParameterPoint(
+            connectivity=ConnectivityKind.LATE, content_sensitivity=0.8,
+            memory_window=math.inf, quality_owner=5,
+        )
+        batch = run_replicates(point, 20, MASTER)
+        assert set(batch.quality_owners.tolist()) == {5}
+        assert_matches_reference(batch)
+
+    def test_hand_built_values(self):
+        # -0.0 and 0.0 are equal but format differently; a subnormal, 1/3 and
+        # 0.1 need all 17 digits; values repeat across rounds and replicates.
+        values = [-0.0, 0.0, 5e-324, 1 / 3, 0.1, 0.1, -0.0, 1 / 3]
+        grid = np.array(values * 3, dtype=np.float64).reshape(3, 8)
+        ragged = grid.copy()
+        ragged[1, 5:] = np.nan
+        batch = BatchResult(
+            point=ParameterPoint(coordination_bias=0.1, content_sensitivity=1 / 3),
+            horizon=UntilConvergence(8),
+            run_seeds=np.array([7, 2**64 - 1, 0], dtype=np.uint64),
+            quality_owners=np.array([0, 7, 3]),
+            n_rounds=np.array([8, 5, 8]),
+            entropy=ragged,
+            entropy_norm=ragged[::-1].copy(),
+            adaptiveness=-ragged,
+            delta_adaptiveness=ragged[:, ::-1].copy(),
+            convergence_rounds=np.zeros(3, dtype=np.int64),
+            productions=np.zeros((3, 9, 8), dtype=np.int64),
+        )
+        assert_matches_reference(batch)
+        text = runs_block(batch)
+        assert len(text.splitlines()) == 21
+        assert ",-0," in text and ",4.9406564584124654e-324," in text
+
+    def test_distinct_values_beyond_the_int64_key(self):
+        # 2**16 replicates, each with one value of its own in every column and
+        # both rounds. Folding the round and four 2**16-level codes spans
+        # 2 * 2**64 keys: unless the key is renumbered on the way, round 2 of
+        # a replicate wraps onto round 1 and both rows get the same tail.
+        reps = 2**16
+        values = np.repeat(np.arange(1, reps + 1)[:, None] / (reps + 1.0), 2, axis=1)
+        batch = BatchResult(
+            point=ParameterPoint(),
+            horizon=FixedHorizon(),
+            run_seeds=np.arange(reps, dtype=np.uint64),
+            quality_owners=np.zeros(reps, dtype=np.int64),
+            n_rounds=np.full(reps, 2),
+            entropy=values,
+            entropy_norm=values,
+            adaptiveness=values,
+            delta_adaptiveness=values,
+            convergence_rounds=np.zeros(reps, dtype=np.int64),
+            productions=np.zeros((reps, 3, 1), dtype=np.int64),
+        )
+        assert_matches_reference(batch)
 
 
 class TestSummaries:
