@@ -6,19 +6,6 @@ on shared conventions. The package provides the simulation engine, schedule
 tools, convergence/adaptiveness metrics, CSV output, SVG plotting, and a CLI.
 """
 
-from .core import (
-    UNBOUNDED,
-    AgentMemory,
-    BiasParams,
-    MemoryEntry,
-    Origin,
-    ProductionDistribution,
-    QualityAssignment,
-    partition_frequencies,
-    production_distribution,
-    record_interaction,
-    sample_variant,
-)
 from .engine import (
     BatchResult,
     FixedHorizon,
@@ -29,65 +16,19 @@ from .engine import (
     sweep,
 )
 from .errors import MicrosocError
-from .metrics import (
-    AggregateStats,
-    adaptiveness,
-    aggregate,
-    condition_gap,
-    delta_adaptiveness,
-    detect_bursts,
-    entropy,
-    entropy_normalized,
-    time_to_convergence,
-)
-from .rng import seed_derive
-from .schedule import (
-    ConnectivityKind,
-    Schedule,
-    builtin_schedule,
-    export_schedule,
-    load_schedule,
-    reachability_profile,
-    validate_schedule,
-)
+from .schedule import ConnectivityKind, Schedule
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
-    "UNBOUNDED",
-    "AgentMemory",
-    "AggregateStats",
     "BatchResult",
-    "BiasParams",
     "ConnectivityKind",
     "FixedHorizon",
-    "MemoryEntry",
     "MicrosocError",
-    "Origin",
     "ParameterPoint",
-    "ProductionDistribution",
-    "QualityAssignment",
     "Schedule",
     "SweepGrid",
     "UntilConvergence",
-    "adaptiveness",
-    "aggregate",
-    "builtin_schedule",
-    "condition_gap",
-    "delta_adaptiveness",
-    "detect_bursts",
-    "entropy",
-    "entropy_normalized",
-    "export_schedule",
-    "load_schedule",
-    "partition_frequencies",
-    "production_distribution",
-    "reachability_profile",
-    "record_interaction",
     "run_replicates",
-    "sample_variant",
-    "seed_derive",
     "sweep",
-    "time_to_convergence",
-    "validate_schedule",
 ]

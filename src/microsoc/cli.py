@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import __version__, engine, output, plotting
-from .core import UNBOUNDED
+from .engine import UNBOUNDED
 from .errors import ConfigError, MicrosocError, ScheduleValidationError
 from .schedule import (
     BUILTIN_SIZES,
@@ -363,6 +363,8 @@ def config_digest(config: dict) -> str:
 def cmd_sweep(args) -> int:
     config = _validated_config(args.config)
     grid = _grid_from_config(config)
+    # Before the sink opens: a bad grid must not truncate an earlier sweep.
+    grid.validate()
     horizon = (
         engine.UntilConvergence()
         if config["horizon_mode"] == "until_convergence"

@@ -3,10 +3,11 @@
 The batch kernel simulates all replicates of one parameter point at once,
 carrying a (replicates, agents, variants) pair of ego/allo count tensors and
 updating them incrementally as the memory window slides. Its arithmetic is
-written in exactly the IEEE evaluation order of the scalar rule in core.py
-(same divisions, same mixture expression, same cumulative-sum sampling), and
-the uniforms come from the same counter-based keys, so a batched run is
-bit-identical to the scalar reference loop; tests enforce that.
+written in exactly the IEEE evaluation order of the test suite's scalar
+reference, tests/scalar_model.py (same divisions, same mixture expression,
+same cumulative-sum sampling), and the uniforms come from the same
+counter-based keys, so a batched run is bit-identical to the scalar reference
+loop; tests enforce that.
 
 Under an open-ended horizon the kernel steps only the replicates still
 running: one that has converged and finished the round-robin retires, and its
@@ -29,12 +30,12 @@ from typing import ClassVar
 import numpy as np
 
 from . import output, rng
-from .core import UNBOUNDED, BiasParams
 from .errors import InvalidParamsError, InvalidReplicatesError
 from .metrics import entropy_from_counts
 from .schedule import BUILTIN_SIZES, ConnectivityKind, Schedule, builtin_schedule
 
 DEFAULT_MAX_ROUNDS = 200
+UNBOUNDED = math.inf
 
 
 @dataclass(frozen=True)
@@ -77,16 +78,18 @@ class ParameterPoint:
     quality_owner: int | None = None
     schedule: Schedule | None = None
 
-    def bias_params(self) -> BiasParams:
-        return BiasParams(
-            coordination_bias=self.coordination_bias,
-            content_sensitivity=self.content_sensitivity,
-            mutation_rate=self.mutation_rate,
-            memory_window=self.memory_window,
-        )
-
     def validate(self) -> None:
-        self.bias_params().validate()
+        for name in ("coordination_bias", "content_sensitivity", "mutation_rate"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise InvalidParamsError(f"{name} must lie in [0, 1], got {v!r}")
+        m = self.memory_window
+        if m != UNBOUNDED and not (
+            isinstance(m, (int, float)) and float(m).is_integer() and m >= 1
+        ):
+            raise InvalidParamsError(
+                f"memory_window must be a positive integer or unbounded, got {m!r}"
+            )
         kind = ConnectivityKind(self.connectivity)
         if kind is ConnectivityKind.CUSTOM:
             if self.schedule is None:

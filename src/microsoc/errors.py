@@ -16,14 +16,6 @@ class InvalidParamsError(MicrosocError, ValueError):
     """A model parameter is outside its legal range."""
 
 
-class EmptyMemoryError(MicrosocError, ValueError):
-    """No memory entry falls inside the active window, so no distribution exists."""
-
-
-class DuplicateRoundError(MicrosocError, ValueError):
-    """An interaction for this round was already recorded in the memory."""
-
-
 class EmptyRoundError(MicrosocError, ValueError):
     """A per-round statistic was requested for an empty production list."""
 

@@ -223,12 +223,6 @@ def summary_block(records) -> str:
     return "".join(summary_row(r) + "\n" for r in records)
 
 
-def write_summary(records, path) -> None:
-    with open(str(path), "wb") as fh:
-        fh.write((SUMMARY_HEADER + "\n").encode("ascii"))
-        fh.write(summary_block(records).encode("ascii"))
-
-
 def _check_header(row, expected: str, path) -> None:
     if row is None or ",".join(row) != expected:
         raise SchemaError(

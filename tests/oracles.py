@@ -14,18 +14,28 @@ import math
 
 import numpy as np
 
-from microsoc import core, metrics, rng
+from microsoc import metrics, rng
 from microsoc.engine import FixedHorizon, ParameterPoint
+from scalar_model import (
+    AgentMemory,
+    BiasParams,
+    MemoryEntry,
+    Origin,
+    QualityAssignment,
+    production_distribution,
+    record_interaction,
+    sample_variant,
+)
 
 
 def build_memory(agent_id, entries):
     """entries: (round, 'ego'|'allo', variant) triples, rounds nondecreasing."""
-    mem = core.AgentMemory(agent_id=agent_id, entries=[])
+    mem = AgentMemory(agent_id=agent_id, entries=[])
     for round_no, origin, variant in entries:
         mem.record(
-            core.MemoryEntry(
+            MemoryEntry(
                 round_no,
-                core.Origin.EGO if origin == "ego" else core.Origin.ALLO,
+                Origin.EGO if origin == "ego" else Origin.ALLO,
                 variant,
             )
         )
@@ -33,11 +43,11 @@ def build_memory(agent_id, entries):
 
 
 def dist_probs(mem, *, c, b, mu, m, owner, n, t):
-    params = core.BiasParams(
+    params = BiasParams(
         coordination_bias=c, content_sensitivity=b, mutation_rate=mu, memory_window=m
     )
-    quality = core.QualityAssignment.single(owner)
-    return core.production_distribution(mem, params, quality, n, t).probs
+    quality = QualityAssignment.single(owner)
+    return production_distribution(mem, params, quality, n, t).probs
 
 
 def random_memory_instances(count, seed):
@@ -149,14 +159,19 @@ def scalar_run(point: ParameterPoint, run_seed: int, rounds: int | None = None):
     point.validate()
     sched = point.resolve_schedule()
     n = point.n_agents
-    params = point.bias_params()
+    params = BiasParams(
+        coordination_bias=point.coordination_bias,
+        content_sensitivity=point.content_sensitivity,
+        mutation_rate=point.mutation_rate,
+        memory_window=point.memory_window,
+    )
     if point.quality_owner is not None:
         owner = point.quality_owner
     else:
         owner = rng.owner_draw(run_seed, n)
-    quality = core.QualityAssignment.single(owner)
+    quality = QualityAssignment.single(owner)
 
-    memories = [core.AgentMemory.initial(i) for i in range(n)]
+    memories = [AgentMemory.initial(i) for i in range(n)]
     horizon = rounds if rounds is not None else sched.n_rounds
     productions = [list(range(n))]
     entropies = []
@@ -165,11 +180,11 @@ def scalar_run(point: ParameterPoint, run_seed: int, rounds: int | None = None):
         matching = sched.rounds[(t - 1) % sched.n_rounds]
         prods = []
         for i in range(n):
-            dist = core.production_distribution(memories[i], params, quality, n, t)
+            dist = production_distribution(memories[i], params, quality, n, t)
             u = rng.production_uniform(run_seed, i, t)
-            prods.append(core.sample_variant(dist, u))
+            prods.append(sample_variant(dist, u))
         for a, b in matching:
-            core.record_interaction(memories[a], memories[b], prods[a], prods[b], t)
+            record_interaction(memories[a], memories[b], prods[a], prods[b], t)
         productions.append(prods)
         h = metrics.entropy(prods, n)
         entropies.append(h)

@@ -1,4 +1,4 @@
-"""Agent memory and the production rule.
+"""Scalar reference of the production rule: agent memory, one entry at a time.
 
 An agent's memory is a list of (round, origin, variant) entries, split into an
 ego partition (what the agent itself produced) and an allo partition (what it
@@ -16,9 +16,11 @@ variants present (in this engine there is always exactly one). When the allo
 partition is empty inside the window (always true in round 1), the social
 weight c is reassigned to the ego side: the mixture falls back to f_ego alone.
 
-Everything here is scalar and readable; the batch engine reimplements the same
-arithmetic vectorized, in the same IEEE evaluation order, and the test suite
-pins the two paths to bit-identical outputs.
+Everything here is scalar and readable. The package's batch kernel
+(microsoc.engine) computes the same arithmetic vectorized, in the same IEEE
+evaluation order, and the test suite pins the kernel to this reference
+bit for bit; test_model_core.py checks this reference against the brute-force
+evaluator in oracles.py.
 """
 
 from __future__ import annotations
@@ -29,13 +31,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DuplicateRoundError,
-    EmptyMemoryError,
-    InvalidParamsError,
-)
+from microsoc.engine import UNBOUNDED
+from microsoc.errors import InvalidParamsError, MicrosocError
 
-UNBOUNDED = math.inf
+
+class EmptyMemoryError(MicrosocError, ValueError):
+    """No memory entry falls inside the active window, so no distribution exists."""
+
+
+class DuplicateRoundError(MicrosocError, ValueError):
+    """An interaction for this round was already recorded in the memory."""
 
 
 class Origin(enum.Enum):

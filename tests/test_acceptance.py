@@ -21,8 +21,7 @@ import numpy as np
 import pytest
 
 from microsoc.cli import main
-from microsoc.core import UNBOUNDED
-from microsoc.engine import ParameterPoint, UntilConvergence, run_replicates
+from microsoc.engine import UNBOUNDED, ParameterPoint, UntilConvergence, run_replicates
 from microsoc.metrics import AggregateStats, condition_gap, detect_bursts, pooled
 from microsoc.output import read_summary
 from microsoc.schedule import ConnectivityKind, builtin_schedule, reachability_profile

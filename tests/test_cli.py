@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import microsoc
 from microsoc import cli, engine
 from microsoc.cli import DEFAULT_CONFIG, _validated_config, main
 from microsoc.output import CsvSweepSink, read_summary
@@ -230,6 +231,18 @@ class TestSweep:
         run_cli(capsys, "sweep", str(config))
         assert (tmp_path / "out" / "runs.csv").read_bytes() == first
 
+    def test_invalid_grid_leaves_finished_sweep_untouched(self, capsys, tmp_path):
+        assert run_cli(capsys, "sweep", str(small_config(tmp_path)))[0] == 0
+        names = ("runs.csv", "summary.csv", CsvSweepSink.CHECKPOINT)
+        before = {name: (tmp_path / "out" / name).read_bytes() for name in names}
+        code, _, err = run_cli(
+            capsys, "sweep", str(small_config(tmp_path, population_sizes=[10]))
+        )
+        assert code == 2
+        assert "population size 10 has no builtin schedule" in err
+        for name in names:
+            assert (tmp_path / "out" / name).read_bytes() == before[name]
+
     def test_empty_levels_rejected(self, capsys, tmp_path):
         config = small_config(tmp_path, content_bias_levels=[])
         code, _, err = run_cli(capsys, "sweep", str(config))
@@ -374,6 +387,18 @@ class TestSweep:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"quality_mode": {"fixed_owner": 1}}))
         assert _validated_config(str(path))["quality_mode"] == {"fixed_owner": 1}
+
+    def test_public_names_match_readme_and_its_example_runs(self):
+        assert sorted(microsoc.__all__) == [
+            "BatchResult", "ConnectivityKind", "FixedHorizon", "MicrosocError",
+            "ParameterPoint", "Schedule", "SweepGrid", "UntilConvergence",
+            "run_replicates", "sweep",
+        ]
+        readme = README.read_text(encoding="utf-8")
+        block = re.search(r"## Using the library\n\n```python\n(.*?)```", readme, re.S)
+        namespace = {}
+        exec(block.group(1), namespace)
+        assert namespace["batch"].entropy.shape == (1000, 7)
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         config = small_config(tmp_path, typo_key=3)

@@ -232,9 +232,17 @@ class TestValidationAndShapes:
         with pytest.raises(InvalidReplicatesError):
             run_replicates(ParameterPoint(), 0, MASTER)
 
-    def test_bad_bias_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            run_replicates(ParameterPoint(coordination_bias=1.5), 1, MASTER)
+    @pytest.mark.parametrize("name,value", [
+        *(
+            (name, value)
+            for name in ("coordination_bias", "content_sensitivity", "mutation_rate")
+            for value in (-0.1, 1.5, math.nan)
+        ),
+        *(("memory_window", value) for value in (0, 2.5, -math.inf, math.nan)),
+    ])
+    def test_bad_bias_rejected(self, name, value):
+        with pytest.raises(InvalidParamsError, match=name):
+            run_replicates(ParameterPoint(**{name: value}), 1, MASTER)
 
     def test_custom_without_schedule_rejected(self):
         with pytest.raises(InvalidParamsError):

@@ -1,4 +1,4 @@
-"""Production-rule behavior, checked against an independent evaluator."""
+"""The scalar reference production rule, checked against an independent evaluator."""
 
 import math
 
@@ -7,20 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microsoc import (
+from microsoc import rng
+from microsoc.engine import UNBOUNDED
+from microsoc.errors import InvalidParamsError
+
+from scalar_model import (
     AgentMemory,
     BiasParams,
+    DuplicateRoundError,
+    EmptyMemoryError,
     MemoryEntry,
     Origin,
+    ProductionDistribution,
     QualityAssignment,
-    UNBOUNDED,
     partition_frequencies,
     production_distribution,
     record_interaction,
     sample_variant,
 )
-from microsoc import rng
-from microsoc.errors import DuplicateRoundError, EmptyMemoryError, InvalidParamsError
 
 from oracles import (
     build_memory,
@@ -260,8 +264,6 @@ class TestSampling:
             assert sample_variant(dist, u) == 3
 
     def test_u_at_bin_edges(self):
-        from microsoc.core import ProductionDistribution
-
         dist = ProductionDistribution.from_probs(np.array([0.25, 0.25, 0.5]))
         assert sample_variant(dist, 0.0) == 0
         assert sample_variant(dist, 0.25) == 1

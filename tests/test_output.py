@@ -30,7 +30,7 @@ from microsoc.output import (
     read_summary,
     runs_block,
     summarize_batch,
-    write_summary,
+    summary_block,
 )
 from microsoc.schedule import ConnectivityKind
 from oracles import reference_runs_block
@@ -203,12 +203,12 @@ class TestSummaries:
     def test_summary_file_round_trip(self, tmp_path):
         rows = summarize_batch(run_replicates(ParameterPoint(), 10, MASTER))
         path = tmp_path / "summary.csv"
-        write_summary(rows, path)
+        path.write_text(SUMMARY_HEADER + "\n" + summary_block(rows))
         assert read_summary(path) == rows
 
     def test_empty_summary_is_header_only(self, tmp_path):
         path = tmp_path / "summary.csv"
-        write_summary([], path)
+        path.write_text(SUMMARY_HEADER + "\n" + summary_block([]))
         assert path.read_text() == SUMMARY_HEADER + "\n"
         assert read_summary(path) == []
 
