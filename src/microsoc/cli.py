@@ -385,23 +385,12 @@ def cmd_sweep(args) -> int:
         for v in config["connectivity"]
     ])
     digest = config_digest(hashed)
-    if args.resume:
-        done_marker = os.path.join(config["output_dir"], output.CsvSweepSink.CHECKPOINT)
-        try:
-            with open(done_marker, "r", encoding="utf-8") as fh:
-                state = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            state = {}  # let the sink report the precise problem
-        # A completed checkpoint of another config falls through to the sink,
-        # which refuses it, as it refuses a checkpoint that is not an object.
-        complete = isinstance(state, dict) and state.get("complete")
-        if complete and state.get("digest") == digest:
-            print("sweep already complete; nothing to resume")
-            return 0
     sink = output.CsvSweepSink(config["output_dir"], digest, resume=args.resume)
     total = len(grid.points())
     start = sink.start_index()
-    if args.resume:
+    if start == total:
+        print("sweep already complete; nothing to resume")
+    elif args.resume:
         print(f"resuming at point {start + 1}/{total}")
     step = max(1, total // 20)
     t0 = time.monotonic()

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import product
 from typing import ClassVar
@@ -422,34 +423,24 @@ def sweep(
 ) -> None:
     """Run every grid point (skipping any the sink already has) into sink.
 
-    The sink must provide start_index() -> int and
-    write_point(point_index, runs_text, summaries). Output bytes depend only
-    on grid, master_seed, and horizon: never on workers or resume splits.
+    The sink must provide start_index() -> int, wants_runs() -> bool,
+    write_point(point_index, runs_text, summaries) and finalize(), which is
+    called even when no point is left. Output bytes depend only on grid,
+    master_seed, and horizon: never on workers or resume splits.
     """
     grid.validate()
     points = grid.points()
-    start = sink.start_index()
     todo = [
         (i, points[i], master_seed, grid.replicates, horizon, sink.wants_runs())
-        for i in range(start, len(points))
+        for i in range(sink.start_index(), len(points))
     ]
-    done = start
-
-    def consume(point_index, payload):
-        runs_text, summaries = payload
-        sink.write_point(point_index, runs_text, summaries)
-
-    if workers <= 1:
-        for args in todo:
-            consume(*_sweep_point(args))
-            done += 1
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        results = (
+            pool.map(_sweep_point, todo, chunksize=4) if pool else map(_sweep_point, todo)
+        )
+        for point_index, (runs_text, summaries) in results:
+            sink.write_point(point_index, runs_text, summaries)
+            del runs_text, summaries  # free the rows before the next point is made
             if progress:
-                progress(done, len(points))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for point_index, payload in pool.map(_sweep_point, todo, chunksize=4):
-                consume(point_index, payload)
-                done += 1
-                if progress:
-                    progress(done, len(points))
+                progress(point_index + 1, len(points))
     sink.finalize()

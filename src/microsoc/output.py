@@ -287,6 +287,7 @@ class CsvSweepSink:
     write), and continues; the final bytes equal an uninterrupted execution.
     A file shorter than its recorded length, or a checkpoint without valid
     lengths, is refused with ConfigError rather than padded or guessed at.
+    Resuming a finished sweep runs the same checks and leaves no point to run.
     """
 
     CHECKPOINT = "checkpoint.json"
@@ -341,8 +342,6 @@ class CsvSweepSink:
                 "checkpoint belongs to a different configuration or seed; "
                 "refusing to mix outputs"
             )
-        if state.get("complete"):
-            raise ConfigError("sweep already complete; nothing to resume")
         for key, least in (("last_point", -1), ("runs_bytes", 0), ("summary_bytes", 0)):
             value = state.get(key)
             if type(value) is not int or value < least:
@@ -352,13 +351,12 @@ class CsvSweepSink:
                 )
         return state
 
-    def _write_checkpoint(self, last_point: int, complete: bool = False) -> None:
+    def _write_checkpoint(self, last_point: int) -> None:
         state = {
             "digest": self.digest,
             "last_point": last_point,
             "runs_bytes": self._runs.tell(),
             "summary_bytes": self._summary.tell(),
-            "complete": complete,
         }
         tmp = self.checkpoint_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -385,8 +383,5 @@ class CsvSweepSink:
         self._next = point_index + 1
 
     def finalize(self) -> None:
-        self._runs.flush()
-        self._summary.flush()
-        self._write_checkpoint(self._next - 1, complete=True)
         self._runs.close()
         self._summary.close()

@@ -38,6 +38,12 @@ def small_config(tmp_path, **overrides):
     return path
 
 
+def output_files(out_dir):
+    """The bytes of a sweep's three files, by name."""
+    names = ("runs.csv", "summary.csv", CsvSweepSink.CHECKPOINT)
+    return {name: (out_dir / name).read_bytes() for name in names}
+
+
 def fail_write_at(monkeypatch, point_index):
     """Make CsvSweepSink.write_point tear its write of one point and raise."""
     original = CsvSweepSink.write_point
@@ -202,9 +208,54 @@ class TestSweep:
     def test_resume_completed_sweep_is_a_no_op(self, capsys, tmp_path):
         config = small_config(tmp_path)
         assert run_cli(capsys, "sweep", str(config))[0] == 0
+        before = output_files(tmp_path / "out")
         code, out, _ = run_cli(capsys, "sweep", str(config), "--resume")
         assert code == 0
         assert "already complete" in out
+        assert output_files(tmp_path / "out") == before
+
+    @pytest.mark.parametrize("name", ["runs.csv", "summary.csv"])
+    def test_resume_of_completed_sweep_refuses_a_shortened_file(
+        self, capsys, tmp_path, name
+    ):
+        config = small_config(tmp_path)
+        assert run_cli(capsys, "sweep", str(config))[0] == 0
+        os.truncate(tmp_path / "out" / name, 1000)
+        before = output_files(tmp_path / "out")
+        code, out, err = run_cli(capsys, "sweep", str(config), "--resume")
+        assert code == 2
+        assert "refusing to mix outputs" in err
+        assert "already complete" not in out
+        assert output_files(tmp_path / "out") == before
+
+    def test_resume_after_a_failed_finalize_completes(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        (tmp_path / "clean").mkdir()
+        (tmp_path / "broken").mkdir()
+        clean = small_config(tmp_path / "clean")
+        broken = small_config(tmp_path / "broken")
+        assert run_cli(capsys, "sweep", str(clean), "--threads", "1")[0] == 0
+
+        def finalize(self):
+            # Every point and its checkpoint are on disk; closing then fails.
+            self._runs.close()
+            self._summary.close()
+            raise OSError(5, "Input/output error")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CsvSweepSink, "finalize", finalize)
+            code, _, err = run_cli(capsys, "sweep", str(broken), "--threads", "1")
+        assert code == 1
+        assert "Input/output error" in err
+        code, out, _ = run_cli(capsys, "sweep", str(broken), "--resume", "--threads", "1")
+        assert code == 0
+        assert "sweep already complete" in out
+        assert "resuming" not in out
+        for name in ("runs.csv", "summary.csv"):
+            assert (tmp_path / "broken" / "out" / name).read_bytes() == (
+                tmp_path / "clean" / "out" / name
+            ).read_bytes()
 
     def test_resume_of_completed_sweep_with_another_config_refused(self, capsys, tmp_path):
         assert run_cli(capsys, "sweep", str(small_config(tmp_path)))[0] == 0
@@ -233,15 +284,13 @@ class TestSweep:
 
     def test_invalid_grid_leaves_finished_sweep_untouched(self, capsys, tmp_path):
         assert run_cli(capsys, "sweep", str(small_config(tmp_path)))[0] == 0
-        names = ("runs.csv", "summary.csv", CsvSweepSink.CHECKPOINT)
-        before = {name: (tmp_path / "out" / name).read_bytes() for name in names}
+        before = output_files(tmp_path / "out")
         code, _, err = run_cli(
             capsys, "sweep", str(small_config(tmp_path, population_sizes=[10]))
         )
         assert code == 2
         assert "population size 10 has no builtin schedule" in err
-        for name in names:
-            assert (tmp_path / "out" / name).read_bytes() == before[name]
+        assert output_files(tmp_path / "out") == before
 
     def test_empty_levels_rejected(self, capsys, tmp_path):
         config = small_config(tmp_path, content_bias_levels=[])

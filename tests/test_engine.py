@@ -372,3 +372,21 @@ class TestSweepGrid:
         sweep(grid, MASTER, pooled, workers=3)
         assert solo.runs_text == pooled.runs_text
         assert solo.summaries == pooled.summaries
+
+    def test_progress_counts_from_the_resume_point_at_any_worker_count(self):
+        grid = SweepGrid(
+            coordination_bias_levels=(0.5,),
+            content_bias_levels=(0.0, 0.5, 1.0),
+            memory_levels=(3.0,),
+            connectivity=(ConnectivityKind.EARLY, ConnectivityKind.LATE),
+            replicates=4,
+        )
+        for workers in (1, 2):
+            sink = MemorySink()
+            sink.start_index = lambda: 3
+            calls = []
+            sweep(grid, MASTER, sink, workers=workers,
+                  progress=lambda done, total: calls.append((done, total)))
+            assert calls == [(4, 6), (5, 6), (6, 6)], workers
+            assert len(sink.summaries) == 3 * 4 * 7
+            assert sink.finalized

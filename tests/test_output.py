@@ -303,7 +303,7 @@ class TestCsvSweepSink:
         assert summary[0] == SUMMARY_HEADER
         assert len(summary) == 1 + n_points * 28
         state = json.loads((out / "checkpoint.json").read_text())
-        assert state["complete"] is True
+        assert set(state) == {"digest", "last_point", "runs_bytes", "summary_bytes"}
         assert state["last_point"] == n_points - 1
 
     def test_resume_after_interruption_is_byte_identical(self, tmp_path):
@@ -324,11 +324,15 @@ class TestCsvSweepSink:
         with pytest.raises(ConfigError):
             CsvSweepSink(out, "some-other-digest", resume=True)
 
-    def test_resume_of_complete_sweep_rejected(self, tmp_path):
+    def test_resume_of_complete_sweep_runs_nothing(self, tmp_path):
         out = tmp_path / "out"
         self.run_to_dir(out)
-        with pytest.raises(ConfigError):
-            CsvSweepSink(out, "digest-1", resume=True)
+        names = ("runs.csv", "summary.csv", CsvSweepSink.CHECKPOINT)
+        before = {name: (out / name).read_bytes() for name in names}
+        resumed = CsvSweepSink(out, "digest-1", resume=True)
+        assert resumed.start_index() == len(SMALL_GRID.points())
+        sweep(SMALL_GRID, MASTER, resumed)
+        assert {name: (out / name).read_bytes() for name in names} == before
 
     def test_resume_without_checkpoint_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
