@@ -27,6 +27,7 @@ from .schedule import (
     ConnectivityKind,
     builtin_schedule,
     dumps_schedule,
+    export_schedule,
     load_schedule,
     reachability_profile,
 )
@@ -388,9 +389,11 @@ def cmd_sweep(args) -> int:
     sink = output.CsvSweepSink(config["output_dir"], digest, resume=args.resume)
     total = len(grid.points())
     start = sink.start_index()
+    # A start past the grid's end is a corrupt checkpoint, which engine.sweep
+    # refuses.
     if start == total:
         print("sweep already complete; nothing to resume")
-    elif args.resume:
+    elif args.resume and start < total:
         print(f"resuming at point {start + 1}/{total}")
     step = max(1, total // 20)
     t0 = time.monotonic()
@@ -422,13 +425,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_schedule_generate(args) -> int:
     sched = builtin_schedule(args.kind, args.agents)
-    text = dumps_schedule(sched, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        export_schedule(sched, args.out, args.format)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps_schedule(sched, args.format))
     return 0
 
 

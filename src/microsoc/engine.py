@@ -1,8 +1,11 @@
 """Simulation runs, replicate batches, and parameter sweeps.
 
-The batch kernel simulates all replicates of one parameter point at once,
-carrying a (replicates, agents, variants) pair of ego/allo count tensors and
-updating them incrementally as the memory window slides. Its arithmetic is
+The batch kernel simulates all replicates of one parameter point at once. Its
+state is one production history and a (replicates, agents, variants) pair of
+ego/allo counts over the memory window, which slides by one round per step.
+What an agent heard is its partner's production, read from the history
+through the schedule's partner matrix, and content bias adds its weight at
+the quality owner's variant column alone. Its arithmetic is
 written in exactly the IEEE evaluation order of the test suite's scalar
 reference, tests/scalar_model.py (same divisions, same mixture expression,
 same cumulative-sum sampling), and the uniforms come from the same
@@ -31,7 +34,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import output, rng
-from .errors import InvalidParamsError, InvalidReplicatesError
+from .errors import ConfigError, InvalidParamsError, InvalidReplicatesError
 from .metrics import entropy_from_counts
 from .schedule import BUILTIN_SIZES, ConnectivityKind, Schedule, builtin_schedule
 
@@ -129,7 +132,9 @@ class BatchResult:
     replicate r (they differ only in until-convergence mode). The columns
     past n_rounds[r] are NaN in the four metric arrays and -1 in productions
     (where column t is round t, so the fill starts at n_rounds[r] + 1): a
-    converged replicate is no longer stepped.
+    converged replicate is no longer stepped. productions is the kernel's
+    only history: column 0 holds each agent's seed variant, and what agents
+    heard in round t is productions[:, t] permuted by the round's partners.
     """
 
     point: ParameterPoint
@@ -149,12 +154,19 @@ class BatchResult:
         return len(self.run_seeds)
 
 
-def _simulate_batch(
+def run_replicates(
     point: ParameterPoint,
-    horizon: Horizon,
-    run_seeds: np.ndarray,
+    replicates: int,
+    master_seed: int,
+    horizon: Horizon = FixedHorizon(),
+    point_index: int = 0,
 ) -> BatchResult:
-    """Run all replicates of one parameter point in lockstep."""
+    """All replicates of one point, run in lockstep as a dense batch."""
+    if not isinstance(replicates, int) or replicates < 1:
+        raise InvalidReplicatesError(f"replicates must be >= 1, got {replicates!r}")
+    # An array, not a numpy scalar: uint64 scalar arithmetic warns on wraparound.
+    master = np.array([master_seed & rng.MASK64], dtype=np.uint64)
+    seeds = rng.absorb_np(master, point_index, np.arange(replicates))
     point.validate()
     schedule = point.resolve_schedule()
     n = point.n_agents
@@ -162,23 +174,19 @@ def _simulate_batch(
     partners = schedule.partner_matrix()
     cycle = schedule.n_rounds
 
-    if isinstance(horizon, FixedHorizon):
-        max_rounds = horizon.rounds if horizon.rounds is not None else cycle
-        if max_rounds < 1:
-            raise InvalidParamsError(f"horizon must be >= 1 rounds, got {max_rounds}")
-        stop_early = False
-    else:
+    if horizon.open_ended:
         max_rounds = horizon.max_rounds
         if max_rounds < cycle:
             raise InvalidParamsError(
                 f"max_rounds {max_rounds} shorter than one round-robin ({cycle})"
             )
-        stop_early = True
+    else:
+        max_rounds = horizon.rounds if horizon.rounds is not None else cycle
+        if max_rounds < 1:
+            raise InvalidParamsError(f"horizon must be >= 1 rounds, got {max_rounds}")
 
-    n_reps = len(run_seeds)
-    seeds = np.asarray(run_seeds, dtype=np.uint64)
     if point.quality_owner is not None:
-        owners = np.full(n_reps, point.quality_owner, dtype=np.int64)
+        owners = np.full(replicates, point.quality_owner, dtype=np.int64)
     else:
         owners = (rng.absorb_np(seeds, rng.STREAM_OWNER) % np.uint64(n)).astype(np.int64)
 
@@ -187,50 +195,45 @@ def _simulate_batch(
     mu = point.mutation_rate
     m = point.memory_window
     mu_floor = mu / n_variants
-    log2n = math.log2(n)
 
     # History, indexed by replicate: full-size for the whole run.
-    prods = np.empty((n_reps, max_rounds + 1, n), dtype=np.int16)
+    prods = np.empty((replicates, max_rounds + 1, n), dtype=np.int16)
     prods[:, 0, :] = np.arange(n, dtype=np.int16)
-    heard = np.empty((n_reps, max_rounds + 1, n), dtype=np.int16)
-    ent = np.zeros((n_reps, max_rounds))
-    adapt = np.zeros((n_reps, max_rounds))
-    conv = np.zeros(n_reps, dtype=np.int64)
+    ent = np.zeros((replicates, max_rounds))
+    adapt = np.zeros((replicates, max_rounds))
+    conv = np.zeros(replicates, dtype=np.int64)
     agent_ids = np.arange(n, dtype=np.uint64)
 
     # Working state of the active set: its row i belongs to replicate rows[i].
     # `active` indexes the history with a basic slice while the set is whole.
-    rows = np.arange(n_reps)
+    rows = np.arange(replicates)
     active = slice(None)
     act_seeds, act_owners = seeds, owners
-    ego_counts = np.zeros((n_reps, n, n_variants), dtype=np.int32)
-    allo_counts = np.zeros((n_reps, n, n_variants), dtype=np.int32)
-    target = np.zeros((n_reps, n_variants))
-    target[rows, owners] = 1.0
+    ego_counts = np.zeros((replicates, n, n_variants), dtype=np.int32)
+    allo_counts = np.zeros((replicates, n, n_variants), dtype=np.int32)
 
-    def window_start(t: int) -> int:
-        return 0 if math.isinf(m) else max(0, t - int(m))
-
-    executed = 0
     for t in range(1, max_rounds + 1):
         k = len(rows)
         rep_idx = np.arange(k)
         flat_rows = np.arange(k * n)
         ego_flat = ego_counts.reshape(k * n, n_variants)
         allo_flat = allo_counts.reshape(k * n, n_variants)
-        # Slide the window to [window_start(t), t-1]: the previous round's
-        # productions enter, rounds that fell off the left edge leave.
-        ego_flat[flat_rows, prods[active, t - 1, :].ravel()] += 1
+        # The window holds rounds max(0, t - m) .. t - 1, so it slides by one:
+        # round t - 1 enters and round t - 1 - m leaves. What an agent heard in
+        # round w >= 1 is its partner's production then; round 0 has none.
+        entering = prods[active, t - 1]
+        ego_flat[flat_rows, entering.ravel()] += 1
         if t >= 2:
-            allo_flat[flat_rows, heard[active, t - 1, :].ravel()] += 1
-        lo, prev_lo = window_start(t), window_start(t - 1)
-        for w in range(prev_lo, lo):
-            ego_flat[flat_rows, prods[active, w, :].ravel()] -= 1
+            allo_flat[flat_rows, entering[:, partners[(t - 2) % cycle]].ravel()] += 1
+        if t - 1 - m >= 0:
+            w = int(t - 1 - m)
+            leaving = prods[active, w]
+            ego_flat[flat_rows, leaving.ravel()] -= 1
             if w >= 1:
-                allo_flat[flat_rows, heard[active, w, :].ravel()] -= 1
+                allo_flat[flat_rows, leaving[:, partners[(w - 1) % cycle]].ravel()] -= 1
 
-        ego_total = t - lo
-        allo_total = t - max(lo, 1)
+        ego_total = min(t, m)
+        allo_total = ego_total - 1 if t <= m else ego_total
         f_ego = ego_counts / ego_total
         if allo_total == 0:
             pooled = f_ego
@@ -242,16 +245,17 @@ def _simulate_batch(
         )  # (reps, agents): occurrences of the high-quality variant in window
         gate = (q_count > 0).astype(np.float64)
         beta = b * gate
-        base = (1.0 - beta)[:, :, None] * pooled + beta[:, :, None] * target[:, None, :]
+        # Content bias adds beta at the owner's column only; elsewhere the
+        # one-hot form would add beta * 0.0 == +0.0, which changes no bit.
+        base = (1.0 - beta)[:, :, None] * pooled
+        base[rep_idx, :, act_owners] += beta
         probs = (1.0 - mu) * base + mu_floor
 
         cumulative = np.cumsum(probs, axis=-1)
         u = rng.production_uniform_np(act_seeds[:, None], agent_ids[None, :], t)
         idx = (cumulative <= u[:, :, None]).sum(axis=-1)
         np.minimum(idx, n_variants - 1, out=idx)
-        produced = idx.astype(np.int16)
-        prods[active, t, :] = produced
-        heard[active, t, :] = produced[:, partners[(t - 1) % cycle]]
+        prods[active, t, :] = idx
 
         pool_counts = np.bincount(
             (rep_idx[:, None] * n_variants + idx).ravel(),
@@ -262,8 +266,7 @@ def _simulate_batch(
         adapt[active, t - 1] = pool_counts[rep_idx, act_owners] / n
         conv[rows[(conv[active] == 0) & (h == 0.0)]] = t
 
-        executed = t
-        if stop_early and t >= cycle:
+        if horizon.open_ended and t >= cycle:
             # A converged replicate's n_rounds is final from here on, so it
             # retires. Retirees keep being stepped until a quarter of the set
             # has retired; what they compute meanwhile lands past n_rounds,
@@ -276,25 +279,23 @@ def _simulate_batch(
                 rows = active = rows[keep]
                 act_seeds, act_owners = act_seeds[keep], act_owners[keep]
                 ego_counts, allo_counts = ego_counts[keep], allo_counts[keep]
-                target = target[keep]
 
+    executed = t
     ent = ent[:, :executed]
     adapt = adapt[:, :executed]
-    ent_norm = ent / log2n
-    a0 = np.full((n_reps, 1), 1 / n)
-    delta = np.diff(np.concatenate([a0, adapt], axis=1), axis=1)
     productions = prods[:, : executed + 1, :]
-
-    if stop_early:
+    if horizon.open_ended:
         n_rounds = np.where(conv > 0, np.maximum(conv, cycle), executed)
         # Columns past a replicate's own horizon get a fixed fill, so its row
-        # depends on its seed alone and not on its batch-mates.
+        # depends on its seed alone and not on its batch-mates. The derived
+        # metrics below inherit the NaN.
         past = np.arange(executed) >= n_rounds[:, None]
-        for metric in (ent, ent_norm, adapt, delta):
-            metric[past] = np.nan
+        ent[past] = np.nan
+        adapt[past] = np.nan
         productions[:, 1:, :][past] = -1
     else:
-        n_rounds = np.full(n_reps, executed, dtype=np.int64)
+        n_rounds = np.full(replicates, executed, dtype=np.int64)
+    a0 = np.full((replicates, 1), 1 / n)
 
     return BatchResult(
         point=point,
@@ -303,28 +304,12 @@ def _simulate_batch(
         quality_owners=owners,
         n_rounds=n_rounds,
         entropy=ent,
-        entropy_norm=ent_norm,
+        entropy_norm=ent / math.log2(n),
         adaptiveness=adapt,
-        delta_adaptiveness=delta,
+        delta_adaptiveness=np.diff(np.concatenate([a0, adapt], axis=1), axis=1),
         convergence_rounds=conv,
         productions=productions,
     )
-
-
-def run_replicates(
-    point: ParameterPoint,
-    replicates: int,
-    master_seed: int,
-    horizon: Horizon = FixedHorizon(),
-    point_index: int = 0,
-) -> BatchResult:
-    """All replicates of one point as a dense batch."""
-    if not isinstance(replicates, int) or replicates < 1:
-        raise InvalidReplicatesError(f"replicates must be >= 1, got {replicates!r}")
-    # An array, not a numpy scalar: uint64 scalar arithmetic warns on wraparound.
-    master = np.array([master_seed & rng.MASK64], dtype=np.uint64)
-    seeds = rng.absorb_np(master, point_index, np.arange(replicates))
-    return _simulate_batch(point, horizon, seeds)
 
 
 @dataclass(frozen=True)
@@ -425,22 +410,33 @@ def sweep(
 
     The sink must provide start_index() -> int, wants_runs() -> bool,
     write_point(point_index, runs_text, summaries) and finalize(), which is
-    called even when no point is left. Output bytes depend only on grid,
-    master_seed, and horizon: never on workers or resume splits.
+    called whatever happens, even when no point is left. A start_index() past
+    the grid's end is refused as a corrupt checkpoint. Output bytes depend
+    only on grid, master_seed, and horizon: never on workers or resume splits.
     """
-    grid.validate()
-    points = grid.points()
-    todo = [
-        (i, points[i], master_seed, grid.replicates, horizon, sink.wants_runs())
-        for i in range(sink.start_index(), len(points))
-    ]
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        results = (
-            pool.map(_sweep_point, todo, chunksize=4) if pool else map(_sweep_point, todo)
-        )
-        for point_index, (runs_text, summaries) in results:
-            sink.write_point(point_index, runs_text, summaries)
-            del runs_text, summaries  # free the rows before the next point is made
-            if progress:
-                progress(point_index + 1, len(points))
-    sink.finalize()
+    try:
+        grid.validate()
+        points = grid.points()
+        start = sink.start_index()
+        if start > len(points):
+            raise ConfigError(
+                f"corrupt checkpoint: it resumes at point {start + 1}, past "
+                f"the end of the {len(points)}-point grid"
+            )
+        todo = [
+            (i, points[i], master_seed, grid.replicates, horizon, sink.wants_runs())
+            for i in range(start, len(points))
+        ]
+        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+            results = (
+                pool.map(_sweep_point, todo, chunksize=4)
+                if pool
+                else map(_sweep_point, todo)
+            )
+            for point_index, (runs_text, summaries) in results:
+                sink.write_point(point_index, runs_text, summaries)
+                del runs_text, summaries  # free the rows before the next point is made
+                if progress:
+                    progress(point_index + 1, len(points))
+    finally:
+        sink.finalize()

@@ -157,7 +157,6 @@ def summarize_batch(batch) -> list[SummaryRecord]:
     )
     out = []
     n_rounds = batch.n_rounds
-    ragged = bool(n_rounds.min() != n_rounds.max())
     by_metric = {
         "entropy": batch.entropy,
         "entropy_norm": batch.entropy_norm,
@@ -170,8 +169,7 @@ def summarize_batch(batch) -> list[SummaryRecord]:
         if n < 2:
             continue
         for name in ROUND_METRICS:
-            col = by_metric[name][mask, t - 1] if ragged else by_metric[name][:, t - 1].copy()
-            stats = metrics.aggregate(col)
+            stats = metrics.aggregate(by_metric[name][mask, t - 1])
             out.append(
                 SummaryRecord(
                     **key, round_no=t, metric=name,

@@ -228,6 +228,20 @@ class TestSweep:
         assert "already complete" not in out
         assert output_files(tmp_path / "out") == before
 
+    def test_resume_refuses_a_checkpoint_past_the_grid_end(self, capsys, tmp_path):
+        config = small_config(tmp_path)
+        assert run_cli(capsys, "sweep", str(config))[0] == 0
+        checkpoint = tmp_path / "out" / CsvSweepSink.CHECKPOINT
+        state = json.loads(checkpoint.read_text())
+        state["last_point"] = 20
+        checkpoint.write_text(json.dumps(state))
+        before = output_files(tmp_path / "out")
+        code, out, err = run_cli(capsys, "sweep", str(config), "--resume")
+        assert code == 2
+        assert "corrupt checkpoint" in err
+        assert "resuming" not in out
+        assert output_files(tmp_path / "out") == before
+
     def test_resume_after_a_failed_finalize_completes(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -422,9 +436,12 @@ class TestSweep:
         cpus = set(range((os.cpu_count() or 1) + 1))
         seen = {}
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        monkeypatch.setattr(
-            engine, "sweep", lambda *args, workers, **kw: seen.update(workers=workers)
-        )
+
+        def sweep(grid, master_seed, sink, workers, **kw):
+            seen.update(workers=workers)
+            sink.finalize()
+
+        monkeypatch.setattr(engine, "sweep", sweep)
         assert run_cli(capsys, "sweep", str(small_config(tmp_path)))[0] == 0
         assert seen["workers"] == len(cpus)
 

@@ -179,17 +179,27 @@ class TestActiveSet:
     def batch(self, replicates=30):
         return run_replicates(self.POINT, replicates, MASTER, horizon=self.HORIZON)
 
-    def test_retired_and_censored_replicates_match_scalar(self):
-        batch = self.batch()
+    @pytest.mark.parametrize("point", [
+        POINT,
+        # Content bias added under compaction, a round leaving the window at
+        # every step, and partner lookups across the 15-round cycle's end.
+        ParameterPoint(
+            n_agents=16, connectivity="late", coordination_bias=1.0,
+            content_sensitivity=0.2, memory_window=1.0,
+        ),
+    ], ids=["drift", "content_bias"])
+    def test_retired_and_censored_replicates_match_scalar(self, point):
+        batch = run_replicates(point, 30, MASTER, horizon=self.HORIZON)
+        cycle = point.resolve_schedule().n_rounds
         conv = batch.convergence_rounds
         assert (conv == 0).any()
         assert len(set(conv[conv > 0])) > 1
         for r in range(batch.n_replicates):
             prods, entropies, scalar_conv = scalar_run(
-                self.POINT, rng.seed_derive(MASTER, 0, r), 60
+                point, rng.seed_derive(MASTER, 0, r), 60
             )
             n = int(batch.n_rounds[r])
-            assert n == (max(scalar_conv, 7) if scalar_conv else 60)
+            assert n == (max(scalar_conv, cycle) if scalar_conv else 60)
             assert np.array_equal(batch.productions[r, : n + 1], np.asarray(prods[: n + 1]))
             assert np.array_equal(batch.entropy[r, :n], np.asarray(entropies[:n]))
             assert conv[r] == (scalar_conv or 0)

@@ -342,6 +342,7 @@ class TestCsvSweepSink:
         sink = CsvSweepSink(tmp_path / "out", "digest-1")
         with pytest.raises(ConfigError):
             sink.write_point(5, "", [])
+        sink.finalize()
 
     def test_worker_count_leaves_files_identical(self, tmp_path):
         solo, multi = tmp_path / "solo", tmp_path / "multi"
