@@ -25,6 +25,7 @@ from .errors import ConfigError, MicrosocError, ScheduleValidationError
 from .schedule import (
     BUILTIN_SIZES,
     ConnectivityKind,
+    Schedule,
     builtin_schedule,
     dumps_schedule,
     export_schedule,
@@ -32,7 +33,7 @@ from .schedule import (
     reachability_profile,
 )
 
-BUILTIN_KINDS = ("early", "mid", "late")
+BUILTIN_KINDS = tuple(kind.value for kind in ConnectivityKind)
 
 DEFAULT_CONFIG = {
     "population_sizes": [8],
@@ -176,21 +177,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_connectivity(value: str, n_agents: int | None):
-    """(kind, schedule, n_agents) from a --connectivity value."""
-    if value in BUILTIN_KINDS:
-        return ConnectivityKind(value), None, n_agents if n_agents else 8
-    sched = load_schedule(value)
-    if n_agents is not None and n_agents != sched.n_agents:
-        raise ConfigError(
-            f"--agents {n_agents} conflicts with schedule file for "
-            f"{sched.n_agents} agents"
-        )
-    return ConnectivityKind.CUSTOM, sched, sched.n_agents
+def _connectivity(value: str) -> ConnectivityKind | Schedule:
+    """A built-in kind by name, or the schedule loaded from a file path."""
+    return ConnectivityKind(value) if value in BUILTIN_KINDS else load_schedule(value)
 
 
 def cmd_simulate(args) -> int:
-    kind, sched, n_agents = _resolve_connectivity(args.connectivity, args.agents)
+    connectivity = _connectivity(args.connectivity)
+    if args.agents is not None:
+        n_agents = args.agents  # a schedule file for another size fails validate()
+    else:
+        n_agents = connectivity.n_agents if isinstance(connectivity, Schedule) else 8
     owner = None
     if args.quality_owner is not None:
         if args.quality_owner > n_agents:
@@ -201,13 +198,12 @@ def cmd_simulate(args) -> int:
         owner = args.quality_owner - 1
     point = engine.ParameterPoint(
         n_agents=n_agents,
-        connectivity=kind,
+        connectivity=connectivity,
         coordination_bias=args.c,
         content_sensitivity=args.b,
         memory_window=args.memory,
         mutation_rate=args.mu,
         quality_owner=owner,
-        schedule=sched,
     )
     if args.until_convergence:
         horizon = engine.UntilConvergence(args.max_rounds or engine.DEFAULT_MAX_ROUNDS)
@@ -218,7 +214,7 @@ def cmd_simulate(args) -> int:
     batch = engine.run_replicates(point, args.runs, args.seed, horizon=horizon)
 
     print(f"# {args.runs} run(s), {point.n_agents} agents, "
-          f"{ConnectivityKind(point.connectivity).value} connectivity")
+          f"{point.connectivity_label} connectivity")
     header = ("round", "entropy", "entropy_norm", "adaptiveness", "delta_a")
     print("{:>5} {:>9} {:>13} {:>13} {:>8}".format(*header))
     if args.runs == 1:
@@ -333,16 +329,12 @@ def _validated_config(path: str | None) -> dict:
 
 
 def _grid_from_config(config: dict) -> engine.SweepGrid:
-    custom = {}
-    for value in config["connectivity"]:
-        if value not in BUILTIN_KINDS:
-            custom[value] = load_schedule(value)
     owner = None
     if config["quality_mode"] != "random":
         owner = config["quality_mode"]["fixed_owner"] - 1
     return engine.SweepGrid(
         population_sizes=tuple(config["population_sizes"]),
-        connectivity=tuple(config["connectivity"]),
+        connectivity=tuple(_connectivity(v) for v in config["connectivity"]),
         coordination_bias_levels=tuple(float(v) for v in config["coordination_bias_levels"]),
         content_bias_levels=tuple(float(v) for v in config["content_bias_levels"]),
         memory_levels=tuple(
@@ -351,7 +343,6 @@ def _grid_from_config(config: dict) -> engine.SweepGrid:
         mutation_rate=float(config["mutation_rate"]),
         replicates=config["replicates"],
         quality_owner=owner,
-        custom_schedules=custom,
     )
 
 
@@ -381,16 +372,13 @@ def cmd_sweep(args) -> int:
     # refuses a schedule file edited since the sweep began; hash the package
     # version, so that it refuses an upgrade that may change output bytes.
     hashed = dict(config, version=__version__, connectivity=[
-        dumps_schedule(grid.custom_schedules[v], "json") if v in grid.custom_schedules
-        else v
-        for v in config["connectivity"]
+        dumps_schedule(k, "json") if isinstance(k, Schedule) else k.value
+        for k in grid.connectivity
     ])
     digest = config_digest(hashed)
     sink = output.CsvSweepSink(config["output_dir"], digest, resume=args.resume)
     total = len(grid.points())
-    start = sink.start_index()
-    # A start past the grid's end is a corrupt checkpoint, which engine.sweep
-    # refuses.
+    start = sink.start_index(total)
     if start == total:
         print("sweep already complete; nothing to resume")
     elif args.resume and start < total:

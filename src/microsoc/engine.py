@@ -17,6 +17,10 @@ running: one that has converged and finished the round-robin retires, and its
 columns past n_rounds hold a fixed fill (NaN, and -1 for productions), so a
 replicate's row depends on its seed alone, never on its batch-mates.
 
+A point's connectivity is one field: a built-in kind or a Schedule.
+Validating a point resolves its schedule, so a point or grid that validates
+also runs.
+
 Sweeps iterate the parameter grid in a fixed order and derive every run seed
 from (master_seed, point_index, replicate_index) alone, which makes output
 independent of worker count and lets an interrupted sweep resume exactly.
@@ -27,14 +31,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import ClassVar
 
 import numpy as np
 
 from . import output, rng
-from .errors import ConfigError, InvalidParamsError, InvalidReplicatesError
+from .errors import InvalidParamsError, InvalidReplicatesError
 from .metrics import entropy_from_counts
 from .schedule import BUILTIN_SIZES, ConnectivityKind, Schedule, builtin_schedule
 
@@ -68,21 +72,29 @@ Horizon = FixedHorizon | UntilConvergence
 class ParameterPoint:
     """One cell of the parameter grid.
 
-    quality_owner is a 0-based agent id whose seed variant is the high-quality
-    one, or None to draw the owner per run. schedule must be supplied iff
-    connectivity is CUSTOM.
+    connectivity is a built-in kind, resolved for n_agents, or a Schedule
+    for exactly n_agents agents; output labels a Schedule "custom".
+    quality_owner is a 0-based agent id whose seed variant is the
+    high-quality one, or None to draw the owner per run.
     """
 
     n_agents: int = 8
-    connectivity: ConnectivityKind = ConnectivityKind.EARLY
+    connectivity: ConnectivityKind | Schedule = ConnectivityKind.EARLY
     coordination_bias: float = 0.5
     content_sensitivity: float = 0.0
     memory_window: float = UNBOUNDED
     mutation_rate: float = 0.02
     quality_owner: int | None = None
-    schedule: Schedule | None = None
+
+    @property
+    def connectivity_label(self) -> str:
+        """The connectivity column of both output files and of simulate."""
+        if isinstance(self.connectivity, Schedule):
+            return "custom"
+        return ConnectivityKind(self.connectivity).value
 
     def validate(self) -> None:
+        """Raise unless the point can run: valid means runnable."""
         for name in ("coordination_bias", "content_sensitivity", "mutation_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -94,21 +106,6 @@ class ParameterPoint:
             raise InvalidParamsError(
                 f"memory_window must be a positive integer or unbounded, got {m!r}"
             )
-        kind = ConnectivityKind(self.connectivity)
-        if kind is ConnectivityKind.CUSTOM:
-            if self.schedule is None:
-                raise InvalidParamsError("custom connectivity needs a schedule")
-            if self.schedule.n_agents != self.n_agents:
-                raise InvalidParamsError(
-                    f"schedule is for {self.schedule.n_agents} agents, "
-                    f"point has {self.n_agents}"
-                )
-        elif self.schedule is not None:
-            raise InvalidParamsError("schedule given but connectivity is builtin")
-        elif self.n_agents not in BUILTIN_SIZES:
-            raise InvalidParamsError(
-                f"population size {self.n_agents} has no builtin schedule"
-            )
         if self.quality_owner is not None and not (
             0 <= self.quality_owner < self.n_agents
         ):
@@ -116,11 +113,21 @@ class ParameterPoint:
                 f"quality owner {self.quality_owner} outside population of "
                 f"{self.n_agents}"
             )
+        schedule = self.resolve_schedule()
+        if schedule.n_agents != self.n_agents:
+            raise InvalidParamsError(
+                f"schedule is for {schedule.n_agents} agents, "
+                f"point has {self.n_agents}"
+            )
 
     def resolve_schedule(self) -> Schedule:
-        if self.schedule is not None:
-            return self.schedule
-        return builtin_schedule(ConnectivityKind(self.connectivity), self.n_agents)
+        if isinstance(self.connectivity, Schedule):
+            return self.connectivity
+        if self.n_agents not in BUILTIN_SIZES:
+            raise InvalidParamsError(
+                f"population size {self.n_agents} has no builtin schedule"
+            )
+        return builtin_schedule(self.connectivity, self.n_agents)
 
 
 @dataclass
@@ -318,14 +325,12 @@ class SweepGrid:
 
     Points enumerate in the fixed order (n_agents, connectivity, coordination,
     content, memory); the index of a point in that order keys its run seeds.
+    connectivity holds built-in kinds and at most one Schedule, since output
+    labels every Schedule "custom".
     """
 
     population_sizes: tuple[int, ...] = (8,)
-    connectivity: tuple[ConnectivityKind, ...] = (
-        ConnectivityKind.EARLY,
-        ConnectivityKind.MID,
-        ConnectivityKind.LATE,
-    )
+    connectivity: tuple[ConnectivityKind | Schedule, ...] = tuple(ConnectivityKind)
     coordination_bias_levels: tuple[float, ...] = tuple(
         round(0.1 * i, 1) for i in range(11)
     )
@@ -334,7 +339,6 @@ class SweepGrid:
     mutation_rate: float = 0.02
     replicates: int = 1000
     quality_owner: int | None = None
-    custom_schedules: dict = field(default_factory=dict)  # name -> Schedule
 
     def validate(self) -> None:
         if not all(
@@ -352,35 +356,33 @@ class SweepGrid:
             raise InvalidReplicatesError(
                 f"replicates must be >= 1, got {self.replicates!r}"
             )
+        if sum(isinstance(k, Schedule) for k in self.connectivity) > 1:
+            raise InvalidParamsError(
+                "a grid takes at most one custom schedule: output labels "
+                "every one of them 'custom'"
+            )
         for p in self.points():
             p.validate()
 
     def points(self) -> list[ParameterPoint]:
-        out = []
-        for n, kind, c, b, m in product(
-            self.population_sizes,
-            self.connectivity,
-            self.coordination_bias_levels,
-            self.content_bias_levels,
-            self.memory_levels,
-        ):
-            if isinstance(kind, str) and kind in self.custom_schedules:
-                conn, sched = ConnectivityKind.CUSTOM, self.custom_schedules[kind]
-            else:
-                conn, sched = ConnectivityKind(kind), None
-            out.append(
-                ParameterPoint(
-                    n_agents=n,
-                    connectivity=conn,
-                    coordination_bias=c,
-                    content_sensitivity=b,
-                    memory_window=m,
-                    mutation_rate=self.mutation_rate,
-                    quality_owner=self.quality_owner,
-                    schedule=sched,
-                )
+        return [
+            ParameterPoint(
+                n_agents=n,
+                connectivity=kind,
+                coordination_bias=c,
+                content_sensitivity=b,
+                memory_window=m,
+                mutation_rate=self.mutation_rate,
+                quality_owner=self.quality_owner,
             )
-        return out
+            for n, kind, c, b, m in product(
+                self.population_sizes,
+                self.connectivity,
+                self.coordination_bias_levels,
+                self.content_bias_levels,
+                self.memory_levels,
+            )
+        ]
 
 
 def _sweep_point(args) -> tuple[int, "object"]:
@@ -408,21 +410,16 @@ def sweep(
 ) -> None:
     """Run every grid point (skipping any the sink already has) into sink.
 
-    The sink must provide start_index() -> int, wants_runs() -> bool,
-    write_point(point_index, runs_text, summaries) and finalize(), which is
-    called whatever happens, even when no point is left. A start_index() past
-    the grid's end is refused as a corrupt checkpoint. Output bytes depend
-    only on grid, master_seed, and horizon: never on workers or resume splits.
+    The sink must provide start_index(n_points) -> int, which is given the
+    grid's point count, wants_runs() -> bool, write_point(point_index,
+    runs_text, summaries) and finalize(), which is called whatever happens,
+    even when no point is left. Output bytes depend only on grid, master_seed,
+    and horizon: never on workers or resume splits.
     """
     try:
         grid.validate()
         points = grid.points()
-        start = sink.start_index()
-        if start > len(points):
-            raise ConfigError(
-                f"corrupt checkpoint: it resumes at point {start + 1}, past "
-                f"the end of the {len(points)}-point grid"
-            )
+        start = sink.start_index(len(points))
         todo = [
             (i, points[i], master_seed, grid.replicates, horizon, sink.wants_runs())
             for i in range(start, len(points))

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import metrics
 from .errors import ConfigError, SchemaError
-from .schedule import ConnectivityKind
 
 RUNS_HEADER = (
     "run_id,run_seed,n_agents,connectivity,content_bias,coordination_bias,"
@@ -75,7 +74,7 @@ def _point_fields(point) -> str:
     return ",".join(
         (
             str(point.n_agents),
-            ConnectivityKind(point.connectivity).value,
+            point.connectivity_label,
             fmt_float(point.content_sensitivity),
             fmt_float(point.coordination_bias),
             fmt_memory(point.memory_window),
@@ -149,7 +148,7 @@ def summarize_batch(batch) -> list[SummaryRecord]:
     point = batch.point
     key = dict(
         n_agents=point.n_agents,
-        connectivity=ConnectivityKind(point.connectivity).value,
+        connectivity=point.connectivity_label,
         content_bias=point.content_sensitivity,
         coordination_bias=point.coordination_bias,
         memory=float(point.memory_window),
@@ -261,7 +260,7 @@ class MemorySink:
         self.runs_text: list[str] = []
         self.finalized = False
 
-    def start_index(self) -> int:
+    def start_index(self, n_points: int) -> int:
         return 0
 
     def wants_runs(self) -> bool:
@@ -283,8 +282,11 @@ class CsvSweepSink:
     and the byte length of both files after that point. Resuming verifies the
     digest, truncates the files back to those lengths (discarding a torn
     write), and continues; the final bytes equal an uninterrupted execution.
-    A file shorter than its recorded length, or a checkpoint without valid
-    lengths, is refused with ConfigError rather than padded or guessed at.
+    A file shorter than its recorded length, a checkpoint without valid
+    lengths, or one that resumes past the end of the grid is refused with
+    ConfigError, rather than padded or guessed at, before any file is cut:
+    a resuming constructor only reads, and start_index(n_points), which
+    learns the grid's size, makes the last check and then cuts the files.
     Resuming a finished sweep runs the same checks and leaves no point to run.
     """
 
@@ -298,8 +300,9 @@ class CsvSweepSink:
         self.summary_path = os.path.join(self.out_dir, "summary.csv")
         self.checkpoint_path = os.path.join(self.out_dir, self.CHECKPOINT)
         self._next = 0
+        self._runs = self._summary = None
         if resume:
-            state = self._load_checkpoint()
+            state = self._state = self._load_checkpoint()
             for path, key in ((self.runs_path, "runs_bytes"),
                               (self.summary_path, "summary_bytes")):
                 try:
@@ -311,11 +314,7 @@ class CsvSweepSink:
                         f"{path} is shorter than the checkpoint records "
                         f"({size} < {state[key]} bytes); refusing to mix outputs"
                     )
-            os.truncate(self.runs_path, state["runs_bytes"])
-            os.truncate(self.summary_path, state["summary_bytes"])
             self._next = state["last_point"] + 1
-            self._runs = open(self.runs_path, "ab")
-            self._summary = open(self.summary_path, "ab")
         else:
             self._runs = open(self.runs_path, "wb")
             self._runs.write((RUNS_HEADER + "\n").encode("ascii"))
@@ -361,7 +360,17 @@ class CsvSweepSink:
             json.dump(state, fh)
         os.replace(tmp, self.checkpoint_path)
 
-    def start_index(self) -> int:
+    def start_index(self, n_points: int) -> int:
+        if self._runs is None:
+            if self._next > n_points:
+                raise ConfigError(
+                    f"corrupt checkpoint: it resumes at point {self._next + 1}, "
+                    f"past the end of the {n_points}-point grid"
+                )
+            os.truncate(self.runs_path, self._state["runs_bytes"])
+            os.truncate(self.summary_path, self._state["summary_bytes"])
+            self._runs = open(self.runs_path, "ab")
+            self._summary = open(self.summary_path, "ab")
         return self._next
 
     def wants_runs(self) -> bool:
@@ -381,5 +390,6 @@ class CsvSweepSink:
         self._next = point_index + 1
 
     def finalize(self) -> None:
-        self._runs.close()
-        self._summary.close()
+        if self._runs is not None:
+            self._runs.close()
+            self._summary.close()

@@ -41,12 +41,11 @@ BUILTIN_SIZES = (8, 16, 32)
 
 
 class ConnectivityKind(str, enum.Enum):
-    """Built-in schedule families plus a marker for user-supplied files."""
+    """The built-in schedule families; any other order is a Schedule."""
 
     EARLY = "early"
     MID = "mid"
     LATE = "late"
-    CUSTOM = "custom"
 
     def __str__(self) -> str:  # "early", not "ConnectivityKind.EARLY"
         return self.value
@@ -155,8 +154,6 @@ def builtin_schedule(kind: ConnectivityKind | str, n_agents: int) -> Schedule:
         raise UnsupportedSizeError(
             f"built-in schedules exist for {BUILTIN_SIZES}, not {n_agents} agents"
         )
-    if kind is ConnectivityKind.CUSTOM:
-        raise UnsupportedKindError("custom schedules must be loaded from a file")
     if n_agents == 8:
         table = {
             ConnectivityKind.EARLY: _EARLY_8,

@@ -1,6 +1,7 @@
 """End-to-end command-line coverage: exit codes, stdout, and files."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -234,6 +235,7 @@ class TestSweep:
         checkpoint = tmp_path / "out" / CsvSweepSink.CHECKPOINT
         state = json.loads(checkpoint.read_text())
         state["last_point"] = 20
+        state["runs_bytes"] = 1000
         checkpoint.write_text(json.dumps(state))
         before = output_files(tmp_path / "out")
         code, out, err = run_cli(capsys, "sweep", str(config), "--resume")
@@ -299,12 +301,28 @@ class TestSweep:
     def test_invalid_grid_leaves_finished_sweep_untouched(self, capsys, tmp_path):
         assert run_cli(capsys, "sweep", str(small_config(tmp_path)))[0] == 0
         before = output_files(tmp_path / "out")
-        code, _, err = run_cli(
-            capsys, "sweep", str(small_config(tmp_path, population_sizes=[10]))
-        )
+        for overrides, message in (
+            (dict(population_sizes=[10]), "population size 10 has no builtin schedule"),
+            (dict(population_sizes=[16], connectivity=["early", "mid"]),
+             "mid connectivity is only defined for 8 agents"),
+        ):
+            code, _, err = run_cli(
+                capsys, "sweep", str(small_config(tmp_path, **overrides))
+            )
+            assert code == 2
+            assert message in err
+            assert output_files(tmp_path / "out") == before
+
+    def test_two_custom_schedules_rejected(self, capsys, tmp_path):
+        # Both would be labelled "custom", so their summary rows would collide.
+        paths = [tmp_path / "early.txt", tmp_path / "late.txt"]
+        for path in paths:
+            export_schedule(builtin_schedule(path.stem, 8), path)
+        config = small_config(tmp_path, connectivity=[str(p) for p in paths])
+        code, _, err = run_cli(capsys, "sweep", str(config))
         assert code == 2
-        assert "population size 10 has no builtin schedule" in err
-        assert output_files(tmp_path / "out") == before
+        assert "at most one custom schedule" in err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_levels_rejected(self, capsys, tmp_path):
         config = small_config(tmp_path, content_bias_levels=[])
@@ -453,6 +471,18 @@ class TestSweep:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"quality_mode": {"fixed_owner": 1}}))
         assert _validated_config(str(path))["quality_mode"] == {"fixed_owner": 1}
+
+    def test_settable_surface_is_pinned(self):
+        assert [f.name for f in dataclasses.fields(microsoc.ParameterPoint)] == [
+            "n_agents", "connectivity", "coordination_bias", "content_sensitivity",
+            "memory_window", "mutation_rate", "quality_owner",
+        ]
+        assert [f.name for f in dataclasses.fields(microsoc.SweepGrid)] == [
+            "population_sizes", "connectivity", "coordination_bias_levels",
+            "content_bias_levels", "memory_levels", "mutation_rate", "replicates",
+            "quality_owner",
+        ]
+        assert [k.value for k in microsoc.ConnectivityKind] == ["early", "mid", "late"]
 
     def test_public_names_match_readme_and_its_example_runs(self):
         assert sorted(microsoc.__all__) == [

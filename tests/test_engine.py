@@ -14,7 +14,11 @@ from microsoc.engine import (
     run_replicates,
     sweep,
 )
-from microsoc.errors import InvalidParamsError, InvalidReplicatesError
+from microsoc.errors import (
+    InvalidParamsError,
+    InvalidReplicatesError,
+    UnsupportedKindError,
+)
 from microsoc.output import MemorySink
 from microsoc.schedule import ConnectivityKind, Schedule, builtin_schedule
 
@@ -104,12 +108,8 @@ class TestDeterminism:
                 for matching in base.rounds
             ],
         )
-        point_a = ParameterPoint(
-            connectivity=ConnectivityKind.CUSTOM, schedule=base, content_sensitivity=0.5
-        )
-        point_b = ParameterPoint(
-            connectivity=ConnectivityKind.CUSTOM, schedule=shuffled, content_sensitivity=0.5
-        )
+        point_a = ParameterPoint(connectivity=base, content_sensitivity=0.5)
+        point_b = ParameterPoint(connectivity=shuffled, content_sensitivity=0.5)
         ba = run_replicates(point_a, 20, MASTER)
         bb = run_replicates(point_b, 20, MASTER)
         assert np.array_equal(ba.productions, bb.productions)
@@ -254,22 +254,10 @@ class TestValidationAndShapes:
         with pytest.raises(InvalidParamsError, match=name):
             run_replicates(ParameterPoint(**{name: value}), 1, MASTER)
 
-    def test_custom_without_schedule_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            run_replicates(
-                ParameterPoint(connectivity=ConnectivityKind.CUSTOM), 1, MASTER
-            )
-
     def test_schedule_population_mismatch_rejected(self):
         sched = builtin_schedule(ConnectivityKind.EARLY, 8)
         with pytest.raises(InvalidParamsError):
-            run_replicates(
-                ParameterPoint(
-                    n_agents=16, connectivity=ConnectivityKind.CUSTOM, schedule=sched
-                ),
-                1,
-                MASTER,
-            )
+            run_replicates(ParameterPoint(n_agents=16, connectivity=sched), 1, MASTER)
 
     def test_owner_outside_population_rejected(self):
         with pytest.raises(InvalidParamsError):
@@ -278,6 +266,11 @@ class TestValidationAndShapes:
     def test_unsupported_size_without_schedule_rejected(self):
         with pytest.raises(InvalidParamsError):
             run_replicates(ParameterPoint(n_agents=10), 1, MASTER)
+
+    def test_validate_resolves_the_schedule(self):
+        # Every field is in range, but mid exists only for 8 agents.
+        with pytest.raises(UnsupportedKindError, match="mid"):
+            ParameterPoint(n_agents=16, connectivity="mid").validate()
 
     def test_smaller_batch_is_prefix_of_larger(self):
         # Replicate r's seed depends on r alone, so a 2-replicate batch is
@@ -393,7 +386,7 @@ class TestSweepGrid:
         )
         for workers in (1, 2):
             sink = MemorySink()
-            sink.start_index = lambda: 3
+            sink.start_index = lambda n_points: 3
             calls = []
             sweep(grid, MASTER, sink, workers=workers,
                   progress=lambda done, total: calls.append((done, total)))

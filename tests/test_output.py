@@ -311,7 +311,7 @@ class TestCsvSweepSink:
         self.run_to_dir(clean)
         self.run_to_dir(broken, interrupt_after=3)
         resumed = CsvSweepSink(broken, "digest-1", resume=True)
-        assert resumed.start_index() == 3
+        assert resumed.start_index(len(SMALL_GRID.points())) == 3
         sweep(SMALL_GRID, MASTER, resumed)
         assert (broken / "runs.csv").read_bytes() == (clean / "runs.csv").read_bytes()
         assert (
@@ -330,7 +330,8 @@ class TestCsvSweepSink:
         names = ("runs.csv", "summary.csv", CsvSweepSink.CHECKPOINT)
         before = {name: (out / name).read_bytes() for name in names}
         resumed = CsvSweepSink(out, "digest-1", resume=True)
-        assert resumed.start_index() == len(SMALL_GRID.points())
+        n_points = len(SMALL_GRID.points())
+        assert resumed.start_index(n_points) == n_points
         sweep(SMALL_GRID, MASTER, resumed)
         assert {name: (out / name).read_bytes() for name in names} == before
 

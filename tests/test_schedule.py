@@ -123,8 +123,6 @@ class TestBuiltinTables:
     def test_unsupported_combinations(self):
         with pytest.raises(UnsupportedKindError):
             builtin_schedule(ConnectivityKind.MID, 16)
-        with pytest.raises(UnsupportedKindError):
-            builtin_schedule(ConnectivityKind.CUSTOM, 8)
         with pytest.raises(UnsupportedSizeError):
             builtin_schedule(ConnectivityKind.EARLY, 10)
 
