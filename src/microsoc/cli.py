@@ -179,7 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _connectivity(value: str) -> ConnectivityKind | Schedule:
     """A built-in kind by name, or the schedule loaded from a file path."""
-    return ConnectivityKind(value) if value in BUILTIN_KINDS else load_schedule(value)
+    if value in BUILTIN_KINDS:
+        return ConnectivityKind(value)
+    if not os.path.exists(value):
+        raise ConfigError(f"connectivity {value!r} is neither a built-in kind "
+                          f"({', '.join(BUILTIN_KINDS)}) nor an existing schedule file")
+    return load_schedule(value)
 
 
 def cmd_simulate(args) -> int:
@@ -282,35 +287,23 @@ def _validated_config(path: str | None) -> dict:
     def fail(msg: str):
         raise ConfigError(msg)
 
+    # Shapes and types only: SweepGrid.validate decides whether the grid runs.
     sizes = config["population_sizes"]
-    if not (isinstance(sizes, list) and sizes
-            and all(_is_int(n) and n >= 2 for n in sizes)):
-        fail("population_sizes must be a nonempty list of integers >= 2")
+    if not (isinstance(sizes, list) and all(_is_int(n) for n in sizes)):
+        fail("population_sizes must be a list of integers")
     conn = config["connectivity"]
-    if not (isinstance(conn, list) and conn
-            and all(isinstance(k, str) for k in conn)):
-        fail("connectivity must be a nonempty list of kinds or schedule paths")
+    if not (isinstance(conn, list) and all(isinstance(k, str) for k in conn)):
+        fail("connectivity must be a list of kinds or schedule paths")
     for key in ("coordination_bias_levels", "content_bias_levels"):
-        levels = config[key]
-        if not (isinstance(levels, list) and levels
-                and all(_is_number(v) and 0 <= v <= 1 for v in levels)):
-            fail(f"{key} must be a nonempty list of numbers in [0,1]")
+        if not (isinstance(config[key], list) and all(map(_is_number, config[key]))):
+            fail(f"{key} must be a list of numbers")
     mem = config["memory_levels"]
-    ok_mem = isinstance(mem, list) and mem and all(
-        (_is_int(v) and v >= 1) or v == "inf" for v in mem
-    )
-    if not ok_mem:
-        fail("memory_levels must be a nonempty list of integers >= 1 or \"inf\"")
-    for key in ("population_sizes", "connectivity", "coordination_bias_levels",
-                "content_bias_levels", "memory_levels"):
-        if len(set(config[key])) != len(config[key]):
-            fail(f"{key} must not repeat a level")
-    if not (_is_number(config["mutation_rate"])
-            and 0 <= config["mutation_rate"] <= 1):
-        fail("mutation_rate must lie in [0,1]")
-    if not (_is_int(config["replicates"]) and config["replicates"] >= 2):
-        fail("replicates must be an integer >= 2: summary rows need at least "
-             "2 replicates")
+    if not (isinstance(mem, list) and all(_is_int(v) or v == "inf" for v in mem)):
+        fail("memory_levels must be a list of integers or \"inf\"")
+    if not _is_number(config["mutation_rate"]):
+        fail("mutation_rate must be a number")
+    if not _is_int(config["replicates"]):
+        fail("replicates must be an integer")
     if not _is_int(config["master_seed"]):
         fail("master_seed must be an integer")
     if config["horizon_mode"] not in ("fixed", "until_convergence"):
@@ -355,8 +348,6 @@ def config_digest(config: dict) -> str:
 def cmd_sweep(args) -> int:
     config = _validated_config(args.config)
     grid = _grid_from_config(config)
-    # Before the sink opens: a bad grid must not truncate an earlier sweep.
-    grid.validate()
     horizon = (
         engine.UntilConvergence()
         if config["horizon_mode"] == "until_convergence"
@@ -378,8 +369,8 @@ def cmd_sweep(args) -> int:
     digest = config_digest(hashed)
     sink = output.CsvSweepSink(config["output_dir"], digest, resume=args.resume)
     total = len(grid.points())
-    start = sink.start_index(total)
-    if start == total:
+    start = sink.next_point
+    if args.resume and start == total:
         print("sweep already complete; nothing to resume")
     elif args.resume and start < total:
         print(f"resuming at point {start + 1}/{total}")

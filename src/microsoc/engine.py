@@ -325,8 +325,9 @@ class SweepGrid:
 
     Points enumerate in the fixed order (n_agents, connectivity, coordination,
     content, memory); the index of a point in that order keys its run seeds.
-    connectivity holds built-in kinds and at most one Schedule, since output
-    labels every Schedule "custom".
+    Each level field is non-empty and repeats no level, and connectivity
+    holds at most one Schedule (output labels every Schedule "custom"), so
+    summary rows are told apart by their levels; replicates is at least 2.
     """
 
     population_sizes: tuple[int, ...] = (8,)
@@ -341,20 +342,18 @@ class SweepGrid:
     quality_owner: int | None = None
 
     def validate(self) -> None:
-        if not all(
-            self.__getattribute__(name)
-            for name in (
-                "population_sizes",
-                "connectivity",
-                "coordination_bias_levels",
-                "content_bias_levels",
-                "memory_levels",
-            )
-        ):
-            raise InvalidParamsError("every grid dimension needs at least one level")
-        if self.replicates < 1:
+        """Raise, naming the field, unless the sweep can run: sweep's first step."""
+        for name in ("population_sizes", "connectivity", "coordination_bias_levels",
+                     "content_bias_levels", "memory_levels"):
+            levels = getattr(self, name)
+            if not levels:
+                raise InvalidParamsError(f"{name} needs at least one level")
+            if len(set(levels)) != len(levels):
+                raise InvalidParamsError(f"{name} must not repeat a level")
+        if not isinstance(self.replicates, int) or self.replicates < 2:
             raise InvalidReplicatesError(
-                f"replicates must be >= 1, got {self.replicates!r}"
+                f"replicates must be at least 2, since a summary row needs "
+                f"two runs; got {self.replicates!r}"
             )
         if sum(isinstance(k, Schedule) for k in self.connectivity) > 1:
             raise InvalidParamsError(
@@ -413,8 +412,10 @@ def sweep(
     The sink must provide start_index(n_points) -> int, which is given the
     grid's point count, wants_runs() -> bool, write_point(point_index,
     runs_text, summaries) and finalize(), which is called whatever happens,
-    even when no point is left. Output bytes depend only on grid, master_seed,
-    and horizon: never on workers or resume splits.
+    even when no point is left. The grid is validated before start_index,
+    the sink's first effect, so an invalid grid leaves earlier output
+    untouched. Output bytes depend only on grid, master_seed, and horizon:
+    never on workers or resume splits.
     """
     try:
         grid.validate()

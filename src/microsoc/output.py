@@ -284,10 +284,11 @@ class CsvSweepSink:
     write), and continues; the final bytes equal an uninterrupted execution.
     A file shorter than its recorded length, a checkpoint without valid
     lengths, or one that resumes past the end of the grid is refused with
-    ConfigError, rather than padded or guessed at, before any file is cut:
-    a resuming constructor only reads, and start_index(n_points), which
-    learns the grid's size, makes the last check and then cuts the files.
-    Resuming a finished sweep runs the same checks and leaves no point to run.
+    ConfigError, rather than padded or guessed at, before any file is cut.
+    The constructor only reads. start_index(n_points), the first call that
+    writes, makes the last resume check and cuts the files back, or creates
+    out_dir, both headers and a checkpoint at point -1 for a fresh sweep.
+    next_point is the first point still to run; on a finished sweep, none is.
     """
 
     CHECKPOINT = "checkpoint.json"
@@ -295,12 +296,11 @@ class CsvSweepSink:
     def __init__(self, out_dir, config_digest: str, resume: bool = False):
         self.out_dir = str(out_dir)
         self.digest = config_digest
-        os.makedirs(self.out_dir, exist_ok=True)
         self.runs_path = os.path.join(self.out_dir, "runs.csv")
         self.summary_path = os.path.join(self.out_dir, "summary.csv")
         self.checkpoint_path = os.path.join(self.out_dir, self.CHECKPOINT)
-        self._next = 0
-        self._runs = self._summary = None
+        self.next_point = 0
+        self._runs = self._summary = self._state = None
         if resume:
             state = self._state = self._load_checkpoint()
             for path, key in ((self.runs_path, "runs_bytes"),
@@ -314,13 +314,7 @@ class CsvSweepSink:
                         f"{path} is shorter than the checkpoint records "
                         f"({size} < {state[key]} bytes); refusing to mix outputs"
                     )
-            self._next = state["last_point"] + 1
-        else:
-            self._runs = open(self.runs_path, "wb")
-            self._runs.write((RUNS_HEADER + "\n").encode("ascii"))
-            self._summary = open(self.summary_path, "wb")
-            self._summary.write((SUMMARY_HEADER + "\n").encode("ascii"))
-            self._write_checkpoint(-1)
+            self.next_point = state["last_point"] + 1
 
     def _load_checkpoint(self) -> dict:
         try:
@@ -361,25 +355,32 @@ class CsvSweepSink:
         os.replace(tmp, self.checkpoint_path)
 
     def start_index(self, n_points: int) -> int:
-        if self._runs is None:
-            if self._next > n_points:
+        if self._runs is None and self._state is None:
+            os.makedirs(self.out_dir, exist_ok=True)
+            self._runs = open(self.runs_path, "wb")
+            self._runs.write((RUNS_HEADER + "\n").encode("ascii"))
+            self._summary = open(self.summary_path, "wb")
+            self._summary.write((SUMMARY_HEADER + "\n").encode("ascii"))
+            self._write_checkpoint(-1)
+        elif self._runs is None:
+            if self.next_point > n_points:
                 raise ConfigError(
-                    f"corrupt checkpoint: it resumes at point {self._next + 1}, "
+                    f"corrupt checkpoint: it resumes at point {self.next_point + 1}, "
                     f"past the end of the {n_points}-point grid"
                 )
             os.truncate(self.runs_path, self._state["runs_bytes"])
             os.truncate(self.summary_path, self._state["summary_bytes"])
             self._runs = open(self.runs_path, "ab")
             self._summary = open(self.summary_path, "ab")
-        return self._next
+        return self.next_point
 
     def wants_runs(self) -> bool:
         return True
 
     def write_point(self, point_index: int, runs_text: str, summaries) -> None:
-        if point_index != self._next:
+        if point_index != self.next_point:
             raise ConfigError(
-                f"points must arrive in order: expected {self._next}, "
+                f"points must arrive in order: expected {self.next_point}, "
                 f"got {point_index}"
             )
         self._runs.write(runs_text.encode("ascii"))
@@ -387,7 +388,7 @@ class CsvSweepSink:
         self._runs.flush()
         self._summary.flush()
         self._write_checkpoint(point_index)
-        self._next = point_index + 1
+        self.next_point = point_index + 1
 
     def finalize(self) -> None:
         if self._runs is not None:

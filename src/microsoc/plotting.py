@@ -75,6 +75,8 @@ def _pool_series(records, metric: str, facet: str):
     """
     groups: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(list)))
     for rec in records:
+        if rec.connectivity not in CONNECTIVITY_ORDER:
+            raise InvalidParamsError(f"unknown connectivity label {rec.connectivity!r}")
         if rec.metric != metric or rec.round_no == 0:
             continue
         level = getattr(rec, facet)

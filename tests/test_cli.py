@@ -12,7 +12,7 @@ import pytest
 import microsoc
 from microsoc import cli, engine
 from microsoc.cli import DEFAULT_CONFIG, _validated_config, main
-from microsoc.output import CsvSweepSink, read_summary
+from microsoc.output import SUMMARY_HEADER, CsvSweepSink, read_summary
 from microsoc.schedule import builtin_schedule, export_schedule, load_schedule
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -133,6 +133,28 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--quality-owner", "9")
         assert code == 2
         assert "--quality-owner" in err
+
+    def test_misspelt_connectivity_is_a_config_error(self, capsys, tmp_path):
+        out_file = tmp_path / "runs.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--connectivity", "erly", "--out", str(out_file)
+        )
+        assert code == 2
+        assert "'erly'" in err and "early, mid, late" in err
+        assert not out_file.exists()
+
+    def test_readme_quick_start_output_matches(self, capsys):
+        readme = README.read_text(encoding="utf-8")
+        section = readme.split("## Command-line quick start\n")[1].split("\n## ")[0]
+        checked = 0
+        for block in re.findall(r"```\n(.*?)```", section, re.S):
+            for example in re.split(r"^\$ ", block, flags=re.M)[1:]:
+                command, *printed = example.splitlines()
+                if printed:  # commands that only write files are not run
+                    code, out, _ = run_cli(capsys, *command.split()[1:])
+                    assert (code, out.splitlines()) == (0, printed), command
+                    checked += 1
+        assert checked == 2
 
 
 class TestScheduleCommands:
@@ -329,6 +351,7 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", str(config))
         assert code == 2
         assert "content_bias_levels" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,levels", [
         ("population_sizes", [8, 8]),
@@ -342,6 +365,26 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", str(config))
         assert code == 2
         assert key in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("coordination_bias_levels", [1.5], "coordination_bias must lie in [0, 1]"),
+        ("content_bias_levels", [-0.1], "content_sensitivity must lie in [0, 1]"),
+        ("mutation_rate", float("nan"), "mutation_rate must lie in [0, 1]"),
+        ("memory_levels", [0], "memory_window must be a positive integer"),
+        ("population_sizes", [1], "population size 1 has no builtin schedule"),
+        ("quality_mode", {"fixed_owner": 9}, "fixed_owner exceeds"),
+        ("connectivity", ["erly"], "neither a built-in kind (early, mid, late)"),
+    ], ids=["c-1.5", "b-negative", "mu-nan", "memory-0", "agents-1", "owner-9",
+            "misspelt-kind"])
+    def test_unrunnable_config_exits_2_before_output_dir(
+        self, capsys, tmp_path, key, value, message
+    ):
+        config = small_config(tmp_path, **{key: value})
+        code, _, err = run_cli(capsys, "sweep", str(config))
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("population_sizes", [True]),
@@ -363,6 +406,7 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", str(small_config(tmp_path, replicates=1)))
         assert code == 2
         assert "replicates" in err and "at least 2" in err
+        assert not (tmp_path / "out").exists()
 
     def test_write_failure_exits_1_and_resume_completes(
         self, capsys, tmp_path, monkeypatch
@@ -552,6 +596,16 @@ class TestPlot:
                  "--out", str(tmp_path / "x.svg")]
             )
         assert info.value.code == 2
+
+    def test_unknown_connectivity_label_rejected(self, capsys, tmp_path):
+        summary = tmp_path / "summary.csv"
+        summary.write_text(SUMMARY_HEADER + "\n8,foo,0,0.5,inf,0.02,1,entropy,3,0,0,10,0\n")
+        code, _, err = run_cli(
+            capsys, "plot", str(summary), "--out", str(tmp_path / "x.svg")
+        )
+        assert code == 2
+        assert "'foo'" in err
+        assert not (tmp_path / "x.svg").exists()
 
     def test_missing_summary_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -17,6 +17,7 @@ from microsoc.engine import (
 from microsoc.errors import (
     InvalidParamsError,
     InvalidReplicatesError,
+    MicrosocError,
     UnsupportedKindError,
 )
 from microsoc.output import MemorySink
@@ -342,9 +343,25 @@ class TestSweepGrid:
         # connectivity varies slowest after population size; memory fastest.
         assert [p.memory_window for p in points[:2]] == [1.0, math.inf]
 
-    def test_empty_levels_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            SweepGrid(content_bias_levels=()).validate()
+    @pytest.mark.parametrize("field,value", [
+        pytest.param(field, value, id=f"{field}-{kind}")
+        for field, repeated in (
+            ("population_sizes", (8, 16, 8)),
+            ("connectivity", ("early", ConnectivityKind.EARLY)),
+            ("coordination_bias_levels", (0.5, 0.5)),
+            ("content_bias_levels", (0, 0.0)),
+            ("memory_levels", (3, math.inf, 3.0)),
+        )
+        for kind, value in (("empty", ()), ("repeated", repeated))
+    ] + [
+        pytest.param("replicates", 0, id="replicates-0"),
+        pytest.param("replicates", 1, id="replicates-1"),
+    ])
+    def test_each_grid_rule_names_its_field(self, field, value):
+        with pytest.raises(MicrosocError, match=field) as info:
+            SweepGrid(**{field: value}).validate()
+        if field == "replicates":
+            assert "at least 2" in str(info.value)
 
     def test_small_sweep_through_memory_sink(self):
         grid = SweepGrid(

@@ -19,7 +19,7 @@ from microsoc.engine import (
     run_replicates,
     sweep,
 )
-from microsoc.errors import ConfigError, SchemaError
+from microsoc.errors import ConfigError, InvalidParamsError, SchemaError
 from microsoc.output import (
     CsvSweepSink,
     MemorySink,
@@ -97,6 +97,7 @@ class TestRunsBlock:
 
     def test_empty_write_is_header_only(self, tmp_path):
         sink = CsvSweepSink(tmp_path, "digest-1")
+        sink.start_index(0)
         sink.finalize()
         assert (tmp_path / "runs.csv").read_text() == RUNS_HEADER + "\n"
 
@@ -281,6 +282,7 @@ class TestCsvSweepSink:
         points = grid.points()
         from microsoc.engine import _sweep_point
 
+        sink.start_index(len(points))
         for idx in range(interrupt_after):
             _, payload = _sweep_point(
                 (idx, points[idx], MASTER, grid.replicates, FixedHorizon(), True)
@@ -334,6 +336,19 @@ class TestCsvSweepSink:
         assert resumed.start_index(n_points) == n_points
         sweep(SMALL_GRID, MASTER, resumed)
         assert {name: (out / name).read_bytes() for name in names} == before
+
+    def test_invalid_grid_leaves_finished_sweep_untouched(self, tmp_path):
+        out = tmp_path / "out"
+        self.run_to_dir(out)
+        names = ("runs.csv", "summary.csv", CsvSweepSink.CHECKPOINT)
+        before = {name: (out / name).read_bytes() for name in names}
+        with pytest.raises(InvalidParamsError, match="population size 10"):
+            sweep(SweepGrid(population_sizes=(10,)), MASTER, CsvSweepSink(out, "d"))
+        assert {name: (out / name).read_bytes() for name in names} == before
+
+    def test_unstarted_sink_creates_nothing(self, tmp_path):
+        CsvSweepSink(tmp_path / "new", "digest-1").finalize()
+        assert not (tmp_path / "new").exists()
 
     def test_resume_without_checkpoint_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
