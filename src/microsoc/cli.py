@@ -50,21 +50,6 @@ DEFAULT_CONFIG = {
 }
 
 
-def _unit_interval(label: str):
-    def parse(text: str) -> float:
-        try:
-            v = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{label} must be a number, got {text!r}"
-            ) from None
-        if not 0.0 <= v <= 1.0:
-            raise argparse.ArgumentTypeError(f"{label} must lie in [0,1]")
-        return v
-
-    return parse
-
-
 def _memory_window(text: str) -> float:
     if text.lower() in ("inf", "unbounded"):
         return UNBOUNDED
@@ -74,8 +59,6 @@ def _memory_window(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"memory window must be a positive integer or 'inf', got {text!r}"
         ) from None
-    if v < 1:
-        raise argparse.ArgumentTypeError("memory window must be >= 1")
     return float(v)
 
 
@@ -107,13 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="population size (default 8, or the schedule file's)")
     sim.add_argument("--connectivity", default="early",
                      help="early|mid|late or a schedule file path")
-    sim.add_argument("--c", type=_unit_interval("coordination bias"), default=0.5,
+    sim.add_argument("--c", type=float, default=0.5,
                      help="coordination bias in [0,1]")
-    sim.add_argument("--b", type=_unit_interval("content bias"), default=0.0,
+    sim.add_argument("--b", type=float, default=0.0,
                      help="content bias sensitivity in [0,1]")
     sim.add_argument("--memory", type=_memory_window, default=UNBOUNDED,
                      help="memory window in rounds, or 'inf'")
-    sim.add_argument("--mu", type=_unit_interval("mutation rate"), default=0.02,
+    sim.add_argument("--mu", type=float, default=0.02,
                      help="mutation rate in [0,1]")
     sim.add_argument("--seed", type=int, default=0, help="master seed")
     sim.add_argument("--runs", type=_positive_int("runs"), default=1,

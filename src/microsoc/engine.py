@@ -17,9 +17,10 @@ running: one that has converged and finished the round-robin retires, and its
 columns past n_rounds hold a fixed fill (NaN, and -1 for productions), so a
 replicate's row depends on its seed alone, never on its batch-mates.
 
-A point's connectivity is one field: a built-in kind or a Schedule.
-Validating a point resolves its schedule, so a point or grid that validates
-also runs.
+A point's connectivity is one field: a built-in kind or a Schedule. One call,
+ParameterPoint.validate(), decides whether a point runs and returns the
+schedule the kernel steps: a sequence of perfect matchings for the point's
+population. horizon_rounds decides whether a horizon fits that schedule.
 
 Sweeps iterate the parameter grid in a fixed order and derive every run seed
 from (master_seed, point_index, replicate_index) alone, which makes output
@@ -33,14 +34,16 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
+from numbers import Integral
 from typing import ClassVar
 
 import numpy as np
 
 from . import output, rng
-from .errors import InvalidParamsError, InvalidReplicatesError
+from .errors import InvalidParamsError, InvalidReplicatesError, ScheduleValidationError
 from .metrics import entropy_from_counts
-from .schedule import BUILTIN_SIZES, ConnectivityKind, Schedule, builtin_schedule
+from .schedule import (BUILTIN_SIZES, ConnectivityKind, Schedule, builtin_schedule,
+                       validate_schedule)
 
 DEFAULT_MAX_ROUNDS = 200
 UNBOUNDED = math.inf
@@ -72,8 +75,8 @@ Horizon = FixedHorizon | UntilConvergence
 class ParameterPoint:
     """One cell of the parameter grid.
 
-    connectivity is a built-in kind, resolved for n_agents, or a Schedule
-    for exactly n_agents agents; output labels a Schedule "custom".
+    connectivity is a built-in kind, resolved for n_agents, or a Schedule of
+    perfect matchings on exactly n_agents agents; output labels it "custom".
     quality_owner is a 0-based agent id whose seed variant is the
     high-quality one, or None to draw the owner per run.
     """
@@ -93,8 +96,11 @@ class ParameterPoint:
             return "custom"
         return ConnectivityKind(self.connectivity).value
 
-    def validate(self) -> None:
-        """Raise unless the point can run: valid means runnable."""
+    def validate(self) -> Schedule:
+        """Raise unless the point can run; return the schedule it steps."""
+        n = self.n_agents
+        if not isinstance(n, Integral):
+            raise InvalidParamsError(f"n_agents must be an integer, got {n!r}")
         for name in ("coordination_bias", "content_sensitivity", "mutation_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -106,28 +112,44 @@ class ParameterPoint:
             raise InvalidParamsError(
                 f"memory_window must be a positive integer or unbounded, got {m!r}"
             )
-        if self.quality_owner is not None and not (
-            0 <= self.quality_owner < self.n_agents
-        ):
+        owner = self.quality_owner
+        if owner is not None and not (isinstance(owner, Integral) and 0 <= owner < n):
             raise InvalidParamsError(
-                f"quality owner {self.quality_owner} outside population of "
-                f"{self.n_agents}"
+                f"quality owner {owner!r} outside population of {n}"
             )
-        schedule = self.resolve_schedule()
-        if schedule.n_agents != self.n_agents:
+        if not isinstance(self.connectivity, Schedule):
+            if n not in BUILTIN_SIZES:
+                raise InvalidParamsError(f"population size {n} has no builtin schedule")
+            return builtin_schedule(self.connectivity, n)
+        schedule = self.connectivity
+        if schedule.n_agents != n:
             raise InvalidParamsError(
-                f"schedule is for {schedule.n_agents} agents, "
-                f"point has {self.n_agents}"
+                f"schedule is for {schedule.n_agents} agents, point has {n}"
             )
+        if n < 2 or schedule.n_rounds == 0:
+            raise InvalidParamsError(
+                f"a schedule needs at least 2 agents and 1 round, got {n} "
+                f"agents and {schedule.n_rounds} rounds"
+            )
+        violations = validate_schedule(schedule)
+        if violations:
+            raise ScheduleValidationError(violations)
+        return schedule
 
-    def resolve_schedule(self) -> Schedule:
-        if isinstance(self.connectivity, Schedule):
-            return self.connectivity
-        if self.n_agents not in BUILTIN_SIZES:
-            raise InvalidParamsError(
-                f"population size {self.n_agents} has no builtin schedule"
-            )
-        return builtin_schedule(self.connectivity, self.n_agents)
+
+def horizon_rounds(horizon: Horizon, cycle: int) -> int:
+    """The most rounds a run steps under horizon with a cycle-round schedule;
+    raise unless that is at least 1, and open-ended, at least one cycle."""
+    if horizon.open_ended:
+        rounds, least = horizon.max_rounds, cycle
+    else:
+        rounds, least = (cycle if horizon.rounds is None else horizon.rounds), 1
+    if not (isinstance(rounds, Integral) and rounds >= least):
+        raise InvalidParamsError(
+            f"{horizon} needs an integer number of rounds >= {least}, for a "
+            f"{cycle}-round schedule"
+        )
+    return rounds
 
 
 @dataclass
@@ -174,23 +196,12 @@ def run_replicates(
     # An array, not a numpy scalar: uint64 scalar arithmetic warns on wraparound.
     master = np.array([master_seed & rng.MASK64], dtype=np.uint64)
     seeds = rng.absorb_np(master, point_index, np.arange(replicates))
-    point.validate()
-    schedule = point.resolve_schedule()
+    schedule = point.validate()
     n = point.n_agents
     n_variants = n
     partners = schedule.partner_matrix()
     cycle = schedule.n_rounds
-
-    if horizon.open_ended:
-        max_rounds = horizon.max_rounds
-        if max_rounds < cycle:
-            raise InvalidParamsError(
-                f"max_rounds {max_rounds} shorter than one round-robin ({cycle})"
-            )
-    else:
-        max_rounds = horizon.rounds if horizon.rounds is not None else cycle
-        if max_rounds < 1:
-            raise InvalidParamsError(f"horizon must be >= 1 rounds, got {max_rounds}")
+    max_rounds = horizon_rounds(horizon, cycle)
 
     if point.quality_owner is not None:
         owners = np.full(replicates, point.quality_owner, dtype=np.int64)
@@ -341,8 +352,9 @@ class SweepGrid:
     replicates: int = 1000
     quality_owner: int | None = None
 
-    def validate(self) -> None:
-        """Raise, naming the field, unless the sweep can run: sweep's first step."""
+    def validate(self) -> tuple[Schedule, ...]:
+        """Raise, naming the field, unless the sweep can run: sweep's first step.
+        Return the distinct schedules that the points resolved."""
         for name in ("population_sizes", "connectivity", "coordination_bias_levels",
                      "content_bias_levels", "memory_levels"):
             levels = getattr(self, name)
@@ -360,8 +372,7 @@ class SweepGrid:
                 "a grid takes at most one custom schedule: output labels "
                 "every one of them 'custom'"
             )
-        for p in self.points():
-            p.validate()
+        return tuple(dict.fromkeys(p.validate() for p in self.points()))
 
     def points(self) -> list[ParameterPoint]:
         return [
@@ -412,13 +423,15 @@ def sweep(
     The sink must provide start_index(n_points) -> int, which is given the
     grid's point count, wants_runs() -> bool, write_point(point_index,
     runs_text, summaries) and finalize(), which is called whatever happens,
-    even when no point is left. The grid is validated before start_index,
-    the sink's first effect, so an invalid grid leaves earlier output
-    untouched. Output bytes depend only on grid, master_seed, and horizon:
-    never on workers or resume splits.
+    even when no point is left. The grid, and the horizon against each of its
+    schedules, are checked before start_index, the sink's first effect, so a
+    sweep that cannot run leaves earlier output untouched. Output bytes
+    depend only on grid, master_seed, and horizon: never on workers or resume
+    splits.
     """
     try:
-        grid.validate()
+        for schedule in grid.validate():
+            horizon_rounds(horizon, schedule.n_rounds)
         points = grid.points()
         start = sink.start_index(len(points))
         todo = [

@@ -37,6 +37,7 @@ SUMMARY_HEADER = (
     "mutation_rate,round,metric,mean,sd,ci95,n,censored_n"
 )
 
+# The per-round metric arrays of a BatchResult, in column order.
 ROUND_METRICS = ("entropy", "entropy_norm", "adaptiveness", "delta_adaptiveness")
 TC_METRIC = "time_to_convergence"
 
@@ -101,10 +102,10 @@ def runs_block(batch) -> str:
     key = round_idx.astype(np.int64)
     span = n_cols
     levels_of, codes = [], []
-    for a in (batch.entropy, batch.entropy_norm, batch.adaptiveness,
-              batch.delta_adaptiveness):
+    for name in ROUND_METRICS:
         levels, code = np.unique(
-            a[run_idx, round_idx].view(np.uint64), return_inverse=True
+            getattr(batch, name)[run_idx, round_idx].view(np.uint64),
+            return_inverse=True,
         )
         levels_of.append(levels.view(np.float64).tolist())
         codes.append(code)
@@ -156,19 +157,13 @@ def summarize_batch(batch) -> list[SummaryRecord]:
     )
     out = []
     n_rounds = batch.n_rounds
-    by_metric = {
-        "entropy": batch.entropy,
-        "entropy_norm": batch.entropy_norm,
-        "adaptiveness": batch.adaptiveness,
-        "delta_adaptiveness": batch.delta_adaptiveness,
-    }
     for t in range(1, int(n_rounds.max()) + 1):
         mask = n_rounds >= t
         n = int(mask.sum())
         if n < 2:
             continue
         for name in ROUND_METRICS:
-            stats = metrics.aggregate(by_metric[name][mask, t - 1])
+            stats = metrics.aggregate(getattr(batch, name)[mask, t - 1])
             out.append(
                 SummaryRecord(
                     **key, round_no=t, metric=name,

@@ -21,6 +21,7 @@ ids.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
 
@@ -147,6 +148,7 @@ def _late_generalized(n_agents: int) -> Schedule:
     return Schedule(n_agents, tuple(m for level in levels for m in level))
 
 
+@functools.cache  # a Schedule is frozen, so callers may share one
 def builtin_schedule(kind: ConnectivityKind | str, n_agents: int) -> Schedule:
     """One of the built-in schedules; raises for unsupported combinations."""
     kind = ConnectivityKind(kind)

@@ -156,8 +156,7 @@ def scalar_run(point: ParameterPoint, run_seed: int, rounds: int | None = None):
     (productions, entropies, convergence_round) where productions[t] is the
     length-N list for round t (index 0 = the initial variants).
     """
-    point.validate()
-    sched = point.resolve_schedule()
+    sched = point.validate()
     n = point.n_agents
     params = BiasParams(
         coordination_bias=point.coordination_bias,

@@ -89,10 +89,9 @@ class TestSimulate:
         assert "# converged at round 4" in out
 
     def test_out_of_range_bias_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["simulate", "--c", "1.5"])
-        assert info.value.code == 2
-        assert "coordination bias must lie in [0,1]" in capsys.readouterr().err
+        code, _, err = run_cli(capsys, "simulate", "--c", "1.5")
+        assert code == 2
+        assert "coordination_bias must lie in [0, 1]" in err
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -18,6 +18,7 @@ from microsoc.errors import (
     InvalidParamsError,
     InvalidReplicatesError,
     MicrosocError,
+    ScheduleValidationError,
     UnsupportedKindError,
 )
 from microsoc.output import MemorySink
@@ -191,7 +192,7 @@ class TestActiveSet:
     ], ids=["drift", "content_bias"])
     def test_retired_and_censored_replicates_match_scalar(self, point):
         batch = run_replicates(point, 30, MASTER, horizon=self.HORIZON)
-        cycle = point.resolve_schedule().n_rounds
+        cycle = point.validate().n_rounds
         conv = batch.convergence_rounds
         assert (conv == 0).any()
         assert len(set(conv[conv > 0])) > 1
@@ -272,6 +273,40 @@ class TestValidationAndShapes:
         # Every field is in range, but mid exists only for 8 agents.
         with pytest.raises(UnsupportedKindError, match="mid"):
             ParameterPoint(n_agents=16, connectivity="mid").validate()
+
+    def test_validate_returns_the_schedule_it_resolved(self):
+        assert ParameterPoint(connectivity="late").validate() == builtin_schedule(
+            ConnectivityKind.LATE, 8
+        )
+        sched = builtin_schedule(ConnectivityKind.EARLY, 16)
+        assert ParameterPoint(n_agents=16, connectivity=sched).validate() is sched
+
+    @pytest.mark.parametrize("point,error,message", [
+        # A ring is no matching: each agent would hear a non-partner.
+        (ParameterPoint(connectivity=Schedule(
+            8, (tuple((i, (i + 1) % 8) for i in range(8)),) * 7
+        )), ScheduleValidationError, "appears in two pairs"),
+        (ParameterPoint(connectivity=Schedule(8, (((0, 1),),) * 7)),
+         ScheduleValidationError, "unpaired agents"),
+        (ParameterPoint(connectivity=Schedule(8, ())), InvalidParamsError, "0 rounds"),
+        (ParameterPoint(n_agents=0, connectivity=Schedule(0, ((),))),
+         InvalidParamsError, "0 agents"),
+        (ParameterPoint(n_agents=8.0), InvalidParamsError, "n_agents must be an integer"),
+        (ParameterPoint(quality_owner=1.5), InvalidParamsError, "quality owner 1.5"),
+    ], ids=["ring", "partial_matching", "zero_rounds", "no_agents", "float_agents",
+            "float_owner"])
+    def test_point_that_cannot_run_fails_validate(self, point, error, message):
+        with pytest.raises(error, match=message):
+            point.validate()
+        with pytest.raises(error, match=message):
+            run_replicates(point, 2, MASTER)
+
+    @pytest.mark.parametrize("horizon", [
+        FixedHorizon(0), FixedHorizon(2.5), UntilConvergence(6), UntilConvergence(7.0),
+    ], ids=str)
+    def test_horizon_that_does_not_fit_the_schedule_rejected(self, horizon):
+        with pytest.raises(InvalidParamsError, match="rounds >="):
+            run_replicates(ParameterPoint(), 2, MASTER, horizon=horizon)
 
     def test_smaller_batch_is_prefix_of_larger(self):
         # Replicate r's seed depends on r alone, so a 2-replicate batch is

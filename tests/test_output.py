@@ -342,9 +342,15 @@ class TestCsvSweepSink:
         self.run_to_dir(out)
         names = ("runs.csv", "summary.csv", CsvSweepSink.CHECKPOINT)
         before = {name: (out / name).read_bytes() for name in names}
-        with pytest.raises(InvalidParamsError, match="population size 10"):
-            sweep(SweepGrid(population_sizes=(10,)), MASTER, CsvSweepSink(out, "d"))
-        assert {name: (out / name).read_bytes() for name in names} == before
+        for grid, horizon, message in (
+            (SweepGrid(population_sizes=(10,)), FixedHorizon(), "population size 10"),
+            # A horizon that does not fit the grid's schedules is refused as early.
+            (SMALL_GRID, UntilConvergence(3), "rounds >= 7"),
+            (SMALL_GRID, FixedHorizon(0), "rounds >= 1"),
+        ):
+            with pytest.raises(InvalidParamsError, match=message):
+                sweep(grid, MASTER, CsvSweepSink(out, "d"), horizon=horizon)
+            assert {name: (out / name).read_bytes() for name in names} == before
 
     def test_unstarted_sink_creates_nothing(self, tmp_path):
         CsvSweepSink(tmp_path / "new", "digest-1").finalize()
