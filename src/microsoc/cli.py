@@ -438,7 +438,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Whoever read stdout has gone (`| head`). Point stdout at devnull, as
+        # the Python docs advise, so the flush at shutdown stays quiet. Only a
+        # sweep has failed: its files stop at a point, and --resume continues.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1 if args.command == "sweep" else 0
     except MicrosocError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,16 +1,19 @@
 """Simulation runs, replicate batches, and parameter sweeps.
 
 The batch kernel simulates all replicates of one parameter point at once. Its
-state is one production history and a (replicates, agents, variants) pair of
-ego/allo counts over the memory window, which slides by one round per step.
-What an agent heard is its partner's production, read from the history
-through the schedule's partner matrix, and content bias adds its weight at
-the quality owner's variant column alone. Its arithmetic is
-written in exactly the IEEE evaluation order of the test suite's scalar
-reference, tests/scalar_model.py (same divisions, same mixture expression,
-same cumulative-sum sampling), and the uniforms come from the same
-counter-based keys, so a batched run is bit-identical to the scalar reference
-loop; tests enforce that.
+state is one production history and two int32 ego/allo count arrays over the
+memory window, which slides by one round per step. The counts are
+variant-major, (variants, replicates * agents), with column i * n + a for
+agent a of active replicate i. What an agent heard is its partner's
+production, read from the history through the schedule's partner matrix. A
+round's draw runs one variant at a time over that variant's contiguous row,
+in preallocated buffers: pooled frequency, content bias where the variant is
+the quality owner's, mutation floor, and a running sum compared with each
+agent's uniform. Each step is elementwise, so every agent takes exactly the
+IEEE operations of the test suite's scalar reference, tests/scalar_model.py,
+whose cumulative sum also adds variants left to right. The uniforms come from
+the same counter-based keys, so a batched run is bit-identical to the scalar
+reference loop; tests enforce that.
 
 Under an open-ended horizon the kernel steps only the replicates still
 running: one that has converged and finished the round-robin retires, and its
@@ -222,57 +225,69 @@ def run_replicates(
     conv = np.zeros(replicates, dtype=np.int64)
     agent_ids = np.arange(n, dtype=np.uint64)
 
-    # Working state of the active set: its row i belongs to replicate rows[i].
-    # `active` indexes the history with a basic slice while the set is whole.
+    # Working state of the active set: its row i belongs to replicate rows[i],
+    # and count column i * n + a to that replicate's agent a, so that variant x
+    # of column j is element x * k * n + j of a flat view. `active` indexes the
+    # history with a basic slice while the set is whole.
     rows = np.arange(replicates)
     active = slice(None)
-    act_seeds, act_owners = seeds, owners
-    ego_counts = np.zeros((replicates, n, n_variants), dtype=np.int32)
-    allo_counts = np.zeros((replicates, n, n_variants), dtype=np.int32)
+    act_seeds, owner_cols = seeds, np.repeat(owners, n)
+    ego_counts = np.zeros((n_variants, replicates * n), dtype=np.int32)
+    allo_counts = np.zeros_like(ego_counts)
+    # Scratch for the per-variant draw; each round slices the active columns.
+    scratch = np.empty((3, replicates * n))
+    hits_buf = np.empty(replicates * n, dtype=np.int16)
+    mask_buf = np.empty(replicates * n, dtype=bool)
 
     for t in range(1, max_rounds + 1):
         k = len(rows)
-        rep_idx = np.arange(k)
-        flat_rows = np.arange(k * n)
-        ego_flat = ego_counts.reshape(k * n, n_variants)
-        allo_flat = allo_counts.reshape(k * n, n_variants)
+        kn = k * n
+        rep_idx, cols = np.arange(k), np.arange(kn)
+        ego_flat, allo_flat = ego_counts.reshape(-1), allo_counts.reshape(-1)
         # The window holds rounds max(0, t - m) .. t - 1, so it slides by one:
         # round t - 1 enters and round t - 1 - m leaves. What an agent heard in
         # round w >= 1 is its partner's production then; round 0 has none.
-        entering = prods[active, t - 1]
-        ego_flat[flat_rows, entering.ravel()] += 1
+        entering = prods[active, t - 1].astype(np.intp) * kn
+        ego_flat[entering.ravel() + cols] += 1
         if t >= 2:
-            allo_flat[flat_rows, entering[:, partners[(t - 2) % cycle]].ravel()] += 1
+            allo_flat[entering[:, partners[(t - 2) % cycle]].ravel() + cols] += 1
         if t - 1 - m >= 0:
             w = int(t - 1 - m)
-            leaving = prods[active, w]
-            ego_flat[flat_rows, leaving.ravel()] -= 1
+            leaving = prods[active, w].astype(np.intp) * kn
+            ego_flat[leaving.ravel() + cols] -= 1
             if w >= 1:
-                allo_flat[flat_rows, leaving[:, partners[(w - 1) % cycle]].ravel()] -= 1
+                allo_flat[leaving[:, partners[(w - 1) % cycle]].ravel() + cols] -= 1
 
         ego_total = min(t, m)
         allo_total = ego_total - 1 if t <= m else ego_total
-        f_ego = ego_counts / ego_total
-        if allo_total == 0:
-            pooled = f_ego
-        else:
-            pooled = (1.0 - c) * f_ego + c * (allo_counts / allo_total)
-
-        q_count = (
-            ego_counts[rep_idx, :, act_owners] + allo_counts[rep_idx, :, act_owners]
-        )  # (reps, agents): occurrences of the high-quality variant in window
-        gate = (q_count > 0).astype(np.float64)
-        beta = b * gate
-        # Content bias adds beta at the owner's column only; elsewhere the
-        # one-hot form would add beta * 0.0 == +0.0, which changes no bit.
-        base = (1.0 - beta)[:, :, None] * pooled
-        base[rep_idx, :, act_owners] += beta
-        probs = (1.0 - mu) * base + mu_floor
-
-        cumulative = np.cumsum(probs, axis=-1)
-        u = rng.production_uniform_np(act_seeds[:, None], agent_ids[None, :], t)
-        idx = (cumulative <= u[:, :, None]).sum(axis=-1)
-        np.minimum(idx, n_variants - 1, out=idx)
+        # Occurrences of the high-quality variant in each agent's window.
+        owned = owner_cols * kn + cols
+        q_count = ego_flat[owned] + allo_flat[owned]
+        beta = b * (q_count > 0)
+        keep_share = 1.0 - beta
+        u = rng.production_uniform_np(act_seeds[:, None], agent_ids[None, :], t).ravel()
+        p, q, acc = scratch[:, :kn]
+        hits, mask = hits_buf[:kn], mask_buf[:kn]
+        acc[:] = hits[:] = 0
+        for x in range(n_variants):  # the scalar reference's order, op by op
+            np.divide(ego_counts[x], ego_total, out=p)
+            if allo_total != 0:
+                np.multiply(1.0 - c, p, out=p)
+                np.divide(allo_counts[x], allo_total, out=q)
+                np.multiply(c, q, out=q)
+                np.add(p, q, out=p)
+            np.multiply(keep_share, p, out=p)
+            # Content bias adds beta at the owner's variant only; elsewhere the
+            # one-hot form would add beta * 0.0 == +0.0, which changes no bit.
+            np.equal(owner_cols, x, out=mask)
+            np.add(p, beta, out=p, where=mask)
+            np.multiply(1.0 - mu, p, out=p)
+            np.add(p, mu_floor, out=p)
+            np.add(acc, p, out=acc)
+            np.less_equal(acc, u, out=mask)
+            np.add(hits, mask, out=hits)
+        np.minimum(hits, n_variants - 1, out=hits)
+        idx = hits.reshape(k, n)
         prods[active, t, :] = idx
 
         pool_counts = np.bincount(
@@ -281,7 +296,7 @@ def run_replicates(
         ).reshape(k, n_variants)
         h = entropy_from_counts(pool_counts)
         ent[active, t - 1] = h
-        adapt[active, t - 1] = pool_counts[rep_idx, act_owners] / n
+        adapt[active, t - 1] = pool_counts[rep_idx, owner_cols[::n]] / n
         conv[rows[(conv[active] == 0) & (h == 0.0)]] = t
 
         if horizon.open_ended and t >= cycle:
@@ -294,9 +309,11 @@ def run_replicates(
             if kept == 0:
                 break
             if 4 * (k - kept) >= k:
+                keep_cols = np.repeat(keep, n)
                 rows = active = rows[keep]
-                act_seeds, act_owners = act_seeds[keep], act_owners[keep]
-                ego_counts, allo_counts = ego_counts[keep], allo_counts[keep]
+                act_seeds, owner_cols = act_seeds[keep], owner_cols[keep_cols]
+                ego_counts = ego_counts.compress(keep_cols, axis=1)
+                allo_counts = allo_counts.compress(keep_cols, axis=1)
 
     executed = t
     ent = ent[:, :executed]

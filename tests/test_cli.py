@@ -5,6 +5,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -552,6 +554,49 @@ class TestSweep:
         assert len(grid.points()) == 1452
         assert grid.replicates == 1000
         assert DEFAULT_CONFIG["mutation_rate"] == 0.02
+
+
+def run_into_closed_pipe(*argv, unbuffered=""):
+    """Run the CLI in a fresh interpreter whose stdout is a pipe with no
+    reader: the read end is closed before the program starts."""
+    path = [str(Path(microsoc.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "microsoc.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr.decode()
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--seed", "3", "--until-convergence"),
+        ("simulate", "--seed", "3"),
+        ("schedule", "generate", "--kind", "early", "--agents", "8"),
+        ("schedule", "reach", "--kind", "late"),
+    ], ids=" ".join)
+    def test_reader_gone_ends_quietly(self, argv, unbuffered):
+        assert run_into_closed_pipe(*argv, unbuffered=unbuffered) == (0, "")
+
+    def test_sweep_exits_1_and_resume_completes(self, capsys, tmp_path):
+        (tmp_path / "clean").mkdir()
+        (tmp_path / "piped").mkdir()
+        clean = small_config(tmp_path / "clean")
+        piped = small_config(tmp_path / "piped")
+        assert run_cli(capsys, "sweep", str(clean), "--threads", "1")[0] == 0
+        assert run_into_closed_pipe("sweep", str(piped), "--threads", "1") == (1, "")
+        code, out, _ = run_cli(capsys, "sweep", str(piped), "--resume", "--threads", "1")
+        assert code == 0
+        assert "resuming at point 2/8" in out
+        for name in ("runs.csv", "summary.csv"):
+            assert (tmp_path / "piped" / "out" / name).read_bytes() == (
+                tmp_path / "clean" / "out" / name
+            ).read_bytes()
 
 
 class TestPlot:

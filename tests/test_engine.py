@@ -1,11 +1,12 @@
 """Engine behavior: scalar agreement, determinism, horizons, and invariants."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from microsoc import metrics, rng
+from microsoc import engine, metrics, rng
 from microsoc.engine import (
     FixedHorizon,
     ParameterPoint,
@@ -83,8 +84,73 @@ class TestScalarAgreement:
             replicates=2,
         )
 
+    def test_thirty_two_agents(self):
+        # The kernel steps one variant at a time, so its loop grows with n.
+        batch_equals_scalar(
+            ParameterPoint(
+                n_agents=32,
+                connectivity=ConnectivityKind.LATE,
+                content_sensitivity=0.8,
+                memory_window=3.0,
+            ),
+            replicates=3,
+        )
+
     def test_truncated_horizon(self):
         batch_equals_scalar(ParameterPoint(content_sensitivity=0.9), rounds=3)
+
+
+class TestPinnedBytes:
+    """Every array of a BatchResult, byte for byte, against fixed digests.
+
+    The digests pin the dtype, shape and bytes of all nine arrays, so a change
+    that moves one output bit fails here, in the fill past n_rounds too.
+    """
+
+    ARRAYS = ("run_seeds", "quality_owners", "n_rounds", "entropy", "entropy_norm",
+              "adaptiveness", "delta_adaptiveness", "convergence_rounds", "productions")
+    POINTS = {
+        "default": ParameterPoint(content_sensitivity=0.4),
+        # Drift with a short memory: a quarter retires by round 50, so the
+        # active set compacts while the rest runs to the cap.
+        "compacting": ParameterPoint(coordination_bias=1.0, memory_window=3.0),
+        "fixed_owner": ParameterPoint(n_agents=16, connectivity="late",
+                                      content_sensitivity=0.8, memory_window=5.0,
+                                      quality_owner=3),
+        "mid_window_1": ParameterPoint(connectivity="mid", coordination_bias=0.3,
+                                       content_sensitivity=1.0, mutation_rate=0.1,
+                                       memory_window=1.0),
+    }
+    HORIZONS = {"fixed": FixedHorizon(), "until": UntilConvergence(60)}
+    DIGESTS = {
+        ("default", "fixed"): "a2dddeab0d56843bb3ed2e59069149219469d8dc658c7c3e5df72924d7c4191b",
+        ("default", "until"): "cee8337d91aa8c23e511e80e4e30497880300e3add7dce194844befa64cfb01d",
+        ("compacting", "fixed"): "8daf682115dc83848e10704e81854b16020673e75bf7eb14c96b7f89fbf01db1",
+        ("compacting", "until"): "ea16bbe90fb585c3ec1d9a8397397863e61a439395c83763fc91eb10e2922757",
+        ("fixed_owner", "fixed"): "67dc3465b2197ae94de8c4e8e75abfcfc4bfa8eae3266bba033b6e972d0cabff",
+        ("fixed_owner", "until"): "e7a543e80588faf1f0405cf503b6c58d7197d9a68d1d8d4b3640338988f656a7",
+        ("mid_window_1", "fixed"): "d2d4f19e305f1df5f174a72ee297db78634cb3d2faaed34df821db25c26ff5a8",
+        ("mid_window_1", "until"): "3d8f56083e1a1eac0f93283a3bc8ac98dcdc4a096cdf9ae9cc8abb2d9acfc760",
+    }
+
+    def batch(self, point_id, horizon_id):
+        return run_replicates(self.POINTS[point_id], 50, MASTER,
+                              horizon=self.HORIZONS[horizon_id], point_index=5)
+
+    @pytest.mark.parametrize("point_id,horizon_id", DIGESTS, ids=map("/".join, DIGESTS))
+    def test_batch_bytes_are_pinned(self, point_id, horizon_id):
+        batch = self.batch(point_id, horizon_id)
+        h = hashlib.sha256()
+        for name in self.ARRAYS:
+            a = getattr(batch, name)
+            h.update(f"{name} {a.dtype.str} {a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == self.DIGESTS[point_id, horizon_id]
+
+    def test_compacting_point_compacts(self):
+        conv = self.batch("compacting", "until").convergence_rounds
+        assert 4 * np.count_nonzero((conv > 0) & (conv <= 50)) >= 50
+        assert (conv == 0).any()
 
 
 class TestDeterminism:
@@ -411,6 +477,28 @@ class TestSweepGrid:
         assert len(sink.runs_text) == 2
         rows = "".join(sink.runs_text).strip().split("\n")
         assert len(rows) == 2 * 25 * 7
+        assert len(sink.summaries) == 2 * 4 * 7
+
+    def test_sweep_looks_the_kernel_up_on_the_module(self, monkeypatch):
+        # A wrapper set on engine.run_replicates (as a per-layer tracer sets
+        # one) sees every point of a sweep.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return run_replicates(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "run_replicates", counting)
+        grid = SweepGrid(
+            coordination_bias_levels=(0.5,),
+            content_bias_levels=(0.0, 1.0),
+            memory_levels=(3.0,),
+            connectivity=(ConnectivityKind.EARLY,),
+            replicates=4,
+        )
+        sink = MemorySink()
+        sweep(grid, MASTER, sink, workers=1)
+        assert calls == grid.points()
         assert len(sink.summaries) == 2 * 4 * 7
 
     def test_sweep_worker_count_does_not_change_results(self):
