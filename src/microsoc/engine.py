@@ -1,19 +1,21 @@
 """Simulation runs, replicate batches, and parameter sweeps.
 
 The batch kernel simulates all replicates of one parameter point at once. Its
-state is one production history and two int32 ego/allo count arrays over the
-memory window, which slides by one round per step. The counts are
+state is one production history and two float64 ego/allo count arrays over
+the memory window, which slides by one round per step. The counts are
 variant-major, (variants, replicates * agents), with column i * n + a for
 agent a of active replicate i. What an agent heard is its partner's
 production, read from the history through the schedule's partner matrix. A
 round's draw runs one variant at a time over that variant's contiguous row,
 in preallocated buffers: pooled frequency, content bias where the variant is
-the quality owner's, mutation floor, and a running sum compared with each
-agent's uniform. Each step is elementwise, so every agent takes exactly the
-IEEE operations of the test suite's scalar reference, tests/scalar_model.py,
-whose cumulative sum also adds variants left to right. The uniforms come from
-the same counter-based keys, so a batched run is bit-identical to the scalar
-reference loop; tests enforce that.
+the quality owner's (a one-hot built once per point), mutation floor, and a
+running sum compared with each agent's uniform. Each step is elementwise, so
+every agent takes exactly the IEEE operations of the test suite's scalar
+reference, tests/scalar_model.py, whose cumulative sum also adds variants
+left to right. The uniforms come from the same counter-based keys: a
+production uniform folds the round into its (run, agent) key last, so the
+keys are built once per point and a round costs one mix. A batched run is
+therefore bit-identical to the scalar reference loop; tests enforce that.
 
 Under an open-ended horizon the kernel steps only the replicates still
 running: one that has converged and finished the round-robin retires, and its
@@ -42,9 +44,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import output, rng
+from . import metrics, output, rng
 from .errors import InvalidParamsError, InvalidReplicatesError, ScheduleValidationError
-from .metrics import entropy_from_counts
 from .schedule import (BUILTIN_SIZES, ConnectivityKind, Schedule, builtin_schedule,
                        validate_schedule)
 
@@ -223,17 +224,22 @@ def run_replicates(
     ent = np.zeros((replicates, max_rounds))
     adapt = np.zeros((replicates, max_rounds))
     conv = np.zeros(replicates, dtype=np.int64)
-    agent_ids = np.arange(n, dtype=np.uint64)
+    # What a count adds to a round's entropy: the pool always holds n.
+    term_table = metrics.count_terms(np.arange(n + 1), n)
 
     # Working state of the active set: its row i belongs to replicate rows[i],
-    # and count column i * n + a to that replicate's agent a, so that variant x
-    # of column j is element x * k * n + j of a flat view. `active` indexes the
-    # history with a basic slice while the set is whole.
+    # and column i * n + a to that replicate's agent a, so that variant x of
+    # column j is element x * k * n + j of a flat view. `active` indexes the
+    # history with a basic slice while the set is whole. The counts are
+    # float64, which holds them exactly, so the draw reads them uncast.
     rows = np.arange(replicates)
     active = slice(None)
-    act_seeds, owner_cols = seeds, np.repeat(owners, n)
-    ego_counts = np.zeros((n_variants, replicates * n), dtype=np.int32)
+    keys = rng.production_keys_np(seeds[:, None], np.arange(n, dtype=np.uint64)).ravel()
+    owner_hot = np.arange(n_variants)[:, None] == np.repeat(owners, n)
+    ego_counts = np.zeros((n_variants, replicates * n))
     allo_counts = np.zeros_like(ego_counts)
+    all_cols = np.arange(replicates * n)
+    laid_out = 0
     # Scratch for the per-variant draw; each round slices the active columns.
     scratch = np.empty((3, replicates * n))
     hits_buf = np.empty(replicates * n, dtype=np.int16)
@@ -242,7 +248,13 @@ def run_replicates(
     for t in range(1, max_rounds + 1):
         k = len(rows)
         kn = k * n
-        rep_idx, cols = np.arange(k), np.arange(kn)
+        if k != laid_out:  # the first round, or the set was just compacted
+            laid_out, cols, act_owners = k, all_cols[:kn], owners[rows]
+            # Where each column's high-quality variant sits in the flat
+            # counts, and each replicate's variants in the flat pool counts.
+            owned = np.repeat(act_owners, n) * kn + cols
+            pool_base = all_cols[:k, None] * n_variants
+            owner_pool = pool_base[:, 0] + act_owners
         ego_flat, allo_flat = ego_counts.reshape(-1), allo_counts.reshape(-1)
         # The window holds rounds max(0, t - m) .. t - 1, so it slides by one:
         # round t - 1 enters and round t - 1 - m leaves. What an agent heard in
@@ -261,11 +273,10 @@ def run_replicates(
         ego_total = min(t, m)
         allo_total = ego_total - 1 if t <= m else ego_total
         # Occurrences of the high-quality variant in each agent's window.
-        owned = owner_cols * kn + cols
         q_count = ego_flat[owned] + allo_flat[owned]
         beta = b * (q_count > 0)
         keep_share = 1.0 - beta
-        u = rng.production_uniform_np(act_seeds[:, None], agent_ids[None, :], t).ravel()
+        u = rng.production_uniform_np(keys, t)
         p, q, acc = scratch[:, :kn]
         hits, mask = hits_buf[:kn], mask_buf[:kn]
         acc[:] = hits[:] = 0
@@ -279,8 +290,7 @@ def run_replicates(
             np.multiply(keep_share, p, out=p)
             # Content bias adds beta at the owner's variant only; elsewhere the
             # one-hot form would add beta * 0.0 == +0.0, which changes no bit.
-            np.equal(owner_cols, x, out=mask)
-            np.add(p, beta, out=p, where=mask)
+            np.add(p, beta, out=p, where=owner_hot[x])
             np.multiply(1.0 - mu, p, out=p)
             np.add(p, mu_floor, out=p)
             np.add(acc, p, out=acc)
@@ -290,13 +300,10 @@ def run_replicates(
         idx = hits.reshape(k, n)
         prods[active, t, :] = idx
 
-        pool_counts = np.bincount(
-            (rep_idx[:, None] * n_variants + idx).ravel(),
-            minlength=k * n_variants,
-        ).reshape(k, n_variants)
-        h = entropy_from_counts(pool_counts)
+        pool_counts = np.bincount((pool_base + idx).ravel(), minlength=k * n_variants)
+        h = metrics.entropy_from_terms(term_table[pool_counts.reshape(k, n_variants)])
         ent[active, t - 1] = h
-        adapt[active, t - 1] = pool_counts[rep_idx, owner_cols[::n]] / n
+        adapt[active, t - 1] = pool_counts[owner_pool] / n
         conv[rows[(conv[active] == 0) & (h == 0.0)]] = t
 
         if horizon.open_ended and t >= cycle:
@@ -311,9 +318,11 @@ def run_replicates(
             if 4 * (k - kept) >= k:
                 keep_cols = np.repeat(keep, n)
                 rows = active = rows[keep]
-                act_seeds, owner_cols = act_seeds[keep], owner_cols[keep_cols]
-                ego_counts = ego_counts.compress(keep_cols, axis=1)
-                allo_counts = allo_counts.compress(keep_cols, axis=1)
+                keys = keys.compress(keep_cols)
+                owner_hot, ego_counts, allo_counts = (
+                    a.compress(keep_cols, axis=1)
+                    for a in (owner_hot, ego_counts, allo_counts)
+                )
 
     executed = t
     ent = ent[:, :executed]

@@ -1,11 +1,17 @@
 """Round-level statistics and their aggregation.
 
-All entropies in the package go through entropy_from_counts so that numpy's
+Every entropy in the package is entropy_from_terms over the count_terms of
+counts spanning the full variant space (zeros included), so numpy's
 length-dependent pairwise summation can never make two code paths disagree:
-callers always supply counts over the full variant space (zeros included),
-which fixes the summation tree. Convergence is detected by exact comparison
-with 0.0, which is safe because a unanimous round's entropy is computed as
--(1.0 * log2(1.0)) == 0.0 with no rounding.
+the summation tree is fixed by the variant count. entropy_from_counts takes
+the terms of a counts array; the batch kernel looks them up in a table of
+count_terms over 0..n, since a round's pool always holds n productions.
+Convergence is detected by exact comparison with 0.0, which is safe because a
+unanimous round's entropy is computed as -(1.0 * log2(1.0)) == 0.0 with no
+rounding.
+
+aggregate_rows is the one definition of the summary statistics; aggregate
+is its one-row case.
 """
 
 from __future__ import annotations
@@ -25,18 +31,28 @@ from .errors import (
 )
 
 
-def entropy_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Shannon entropy (bits) along the last axis of a counts array.
-
-    Zero counts contribute exactly 0.0; the result is normalized so a
-    unanimous distribution yields +0.0, never -0.0.
-    """
+def count_terms(counts, total) -> np.ndarray:
+    """p * log2(p) for each count's share p = count / total; exactly 0.0 for
+    a zero count. The one definition of what a count adds to an entropy."""
     counts = np.asarray(counts, dtype=np.float64)
-    totals = counts.sum(axis=-1, keepdims=True)
-    probs = counts / totals
+    probs = counts / total
     safe = np.where(counts > 0, probs, 1.0)
-    terms = np.where(counts > 0, probs * np.log2(safe), 0.0)
+    return np.where(counts > 0, probs * np.log2(safe), 0.0)
+
+
+def entropy_from_terms(terms: np.ndarray) -> np.ndarray:
+    """Shannon entropy (bits) from count_terms along the last axis.
+
+    The result is normalized so a unanimous distribution yields +0.0, never
+    -0.0.
+    """
     return -terms.sum(axis=-1) + 0.0
+
+
+def entropy_from_counts(counts: np.ndarray) -> np.ndarray:
+    """Shannon entropy (bits) along the last axis of a counts array."""
+    counts = np.asarray(counts, dtype=np.float64)
+    return entropy_from_terms(count_terms(counts, counts.sum(axis=-1, keepdims=True)))
 
 
 def entropy(productions: Sequence[int], n_variants: int) -> float:
@@ -92,15 +108,31 @@ class AggregateStats:
     n: int
 
 
-def aggregate(values: Sequence[float]) -> AggregateStats:
-    """Mean / sample SD (n-1 denominator) / 1.96*sd/sqrt(n) over >= 2 values."""
-    n = len(values)
+def aggregate_rows(table: np.ndarray) -> list[AggregateStats]:
+    """Mean, sample SD (n-1 denominator) and 1.96*sd/sqrt(n) of each row of a
+    2-D array with >= 2 columns, in one numpy call per statistic.
+
+    The rows are reduced in C order, where numpy sums a row with the same
+    pairwise tree as a 1-D array of its length, so each row's stats equal
+    those of the row alone to the last bit. A Fortran-ordered table would be
+    summed column by column instead, so it is copied first.
+    """
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    n = table.shape[1]
     if n < 2:
         raise InsufficientDataError(f"need at least 2 values, got {n}")
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1))
-    return AggregateStats(mean, sd, 1.96 * sd / math.sqrt(n), n)
+    root = math.sqrt(n)
+    return [
+        AggregateStats(mean, sd, 1.96 * sd / root, n)
+        for mean, sd in zip(table.mean(axis=1).tolist(),
+                            table.std(axis=1, ddof=1).tolist())
+    ]
+
+
+def aggregate(values: Sequence[float]) -> AggregateStats:
+    """Mean / sample SD (n-1 denominator) / 1.96*sd/sqrt(n) over >= 2 values,
+    as aggregate_rows gives them for a one-row table."""
+    return aggregate_rows(np.asarray(values, dtype=np.float64).reshape(1, -1))[0]
 
 
 def pooled(stats: Sequence[AggregateStats]) -> AggregateStats:

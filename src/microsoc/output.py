@@ -157,13 +157,16 @@ def summarize_batch(batch) -> list[SummaryRecord]:
     )
     out = []
     n_rounds = batch.n_rounds
+    columns = [getattr(batch, name) for name in ROUND_METRICS]
     for t in range(1, int(n_rounds.max()) + 1):
         mask = n_rounds >= t
         n = int(mask.sum())
         if n < 2:
             continue
-        for name in ROUND_METRICS:
-            stats = metrics.aggregate(getattr(batch, name)[mask, t - 1])
+        # One gather per round. compress returns the table in C order, which
+        # aggregate_rows reduces as is; [:, mask] returns it Fortran-ordered.
+        table = np.stack([a[:, t - 1] for a in columns]).compress(mask, axis=1)
+        for name, stats in zip(ROUND_METRICS, metrics.aggregate_rows(table)):
             out.append(
                 SummaryRecord(
                     **key, round_no=t, metric=name,

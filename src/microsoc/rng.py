@@ -98,12 +98,17 @@ def to_unit_np(h: np.ndarray) -> np.ndarray:
     return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def production_uniform_np(
-    run_seeds: np.ndarray, agent_ids: np.ndarray, round_no: int
-) -> np.ndarray:
-    """Production uniforms for a (replicate, agent) grid, matching the scalar path.
+def production_keys_np(run_seeds: np.ndarray, agent_ids: np.ndarray) -> np.ndarray:
+    """Keys of the production draws for a (replicate, agent) grid.
 
-    run_seeds and agent_ids broadcast against each other, e.g. shapes (R, 1)
-    and (N,) give an (R, N) result.
+    A production uniform folds its round into the key last, so one run's
+    keys serve every round. run_seeds and agent_ids broadcast against each
+    other, e.g. shapes (R, 1) and (N,) give an (R, N) result.
     """
-    return to_unit_np(absorb_np(run_seeds, STREAM_PRODUCTION, agent_ids, round_no))
+    return absorb_np(run_seeds, STREAM_PRODUCTION, agent_ids)
+
+
+def production_uniform_np(keys: np.ndarray, round_no: int) -> np.ndarray:
+    """Production uniforms of one round for production_keys_np's keys,
+    each equal to the scalar production_uniform of its run, agent and round."""
+    return to_unit_np(absorb_np(keys, round_no))

@@ -53,8 +53,9 @@ def announce(capsys, ok: bool, criterion: int, detail: str) -> None:
 def full_sweep(tmp_path_factory):
     """Run the complete default sweep once, through the real CLI.
 
-    Returns the parsed summary records, the wall time, and a digest of the
-    raw per-round file (which is deleted afterwards; it is over a gigabyte).
+    Returns the parsed summary records, the wall time, a digest of the
+    summary file, and a digest of the raw per-round file (which is deleted
+    afterwards; it is over a gigabyte).
     """
     base = tmp_path_factory.mktemp("acceptance")
     out_dir = base / "sweep"
@@ -74,9 +75,11 @@ def full_sweep(tmp_path_factory):
             digest.update(chunk)
             lines += chunk.count(b"\n")
     runs_path.unlink()
+    summary_path = out_dir / "summary.csv"
 
     return {
-        "summaries": read_summary(out_dir / "summary.csv"),
+        "summaries": read_summary(summary_path),
+        "summary_sha256": hashlib.sha256(summary_path.read_bytes()).hexdigest(),
         "wall_seconds": wall,
         "runs_sha256": digest.hexdigest(),
         "runs_lines": lines,
@@ -450,8 +453,10 @@ def test_criterion_12_brute_force_agreement(capsys):
     assert worst <= 1e-12
 
 
-# sha256 of the default sweep's runs.csv, the byte-level oracle of the writer.
+# sha256 of the default sweep's runs.csv, the byte-level oracle of the writer,
+# and of its summary.csv, the oracle of the summaries.
 DEFAULT_RUNS_SHA256 = "9de310071ac011ada30c4299f8e4cba7d23af8d25576a729c510e409bae64219"
+DEFAULT_SUMMARY_SHA256 = "773183d5f67e2e6a1d5bdc2f36397326e8e01dd5c75c1bfbb5b9489d4721d8a8"
 
 
 def test_criterion_13_determinism_and_performance(full_sweep, capsys, tmp_path):
@@ -480,7 +485,8 @@ def test_criterion_13_determinism_and_performance(full_sweep, capsys, tmp_path):
     lines = full_sweep["runs_lines"]
     expected_lines = 1 + N_POINTS * REPLICATES * ROUNDS
     fast = wall < 300.0
-    pinned = full_sweep["runs_sha256"] == DEFAULT_RUNS_SHA256
+    pinned = (full_sweep["runs_sha256"] == DEFAULT_RUNS_SHA256
+              and full_sweep["summary_sha256"] == DEFAULT_SUMMARY_SHA256)
     ok = identical and fast and pinned and lines == expected_lines
     announce(
         capsys, ok, 13,
@@ -488,9 +494,11 @@ def test_criterion_13_determinism_and_performance(full_sweep, capsys, tmp_path):
         f"({'yes' if identical else 'NO'}); full {N_POINTS}-point sweep "
         f"wrote {lines - 1} rows in {wall:.1f}s "
         f"({'<' if fast else '>='} 300s; sha256 of the raw file "
-        f"{full_sweep['runs_sha256'][:16]}...)",
+        f"{full_sweep['runs_sha256'][:16]}..., of the summary "
+        f"{full_sweep['summary_sha256'][:16]}...)",
     )
     assert identical
     assert lines == expected_lines
     assert full_sweep["runs_sha256"] == DEFAULT_RUNS_SHA256
+    assert full_sweep["summary_sha256"] == DEFAULT_SUMMARY_SHA256
     assert fast

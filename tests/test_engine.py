@@ -22,7 +22,7 @@ from microsoc.errors import (
     ScheduleValidationError,
     UnsupportedKindError,
 )
-from microsoc.output import MemorySink
+from microsoc.output import MemorySink, summarize_batch, summary_block
 from microsoc.schedule import ConnectivityKind, Schedule, builtin_schedule
 
 from oracles import scalar_run
@@ -133,6 +133,18 @@ class TestPinnedBytes:
         ("mid_window_1", "until"): "3d8f56083e1a1eac0f93283a3bc8ac98dcdc4a096cdf9ae9cc8abb2d9acfc760",
     }
 
+    # sha256 of summary_block(summarize_batch(batch)) for the same batches.
+    SUMMARY_DIGESTS = {
+        ("default", "fixed"): "188acf7812e10a0e0b303f804e322cbdb2c3d01309dd63d8659da43479405f2b",
+        ("default", "until"): "0021ea5783bdcc6590d8195ad5271381360bd265504c0a786958a8050e05455b",
+        ("compacting", "fixed"): "509296553ed7fb101f83453e9edb68575b94e1a41b0d594ee58545add93e8907",
+        ("compacting", "until"): "4f7d25ddabf3ca48601154e3f2d34fce2a819f53cfee3159c196a17991290b13",
+        ("fixed_owner", "fixed"): "6652563f3612049da4367d5f16b67c674c38cf5104e2df438f854ad98cce5e8c",
+        ("fixed_owner", "until"): "2a4977c63b9b7334319f423ab7abebf8fc705e476138ddd0b959b105a45a2de0",
+        ("mid_window_1", "fixed"): "007a78e65829fa9064fca0d7223de9e7689d3af77dbad46ee01f8a000022206c",
+        ("mid_window_1", "until"): "59986aac98974f95da5c536026868c7b706a500a37db7dd1c5a67a832553d972",
+    }
+
     def batch(self, point_id, horizon_id):
         return run_replicates(self.POINTS[point_id], 50, MASTER,
                               horizon=self.HORIZONS[horizon_id], point_index=5)
@@ -146,6 +158,13 @@ class TestPinnedBytes:
             h.update(f"{name} {a.dtype.str} {a.shape}".encode())
             h.update(np.ascontiguousarray(a).tobytes())
         assert h.hexdigest() == self.DIGESTS[point_id, horizon_id]
+
+    @pytest.mark.parametrize("point_id,horizon_id", SUMMARY_DIGESTS,
+                             ids=map("/".join, SUMMARY_DIGESTS))
+    def test_summary_bytes_are_pinned(self, point_id, horizon_id):
+        text = summary_block(summarize_batch(self.batch(point_id, horizon_id)))
+        digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+        assert digest == self.SUMMARY_DIGESTS[point_id, horizon_id]
 
     def test_compacting_point_compacts(self):
         conv = self.batch("compacting", "until").convergence_rounds

@@ -55,6 +55,46 @@ class TestEntropy:
         assert metrics.entropy(prods, 8) == float(metrics.entropy_from_counts(counts))
 
 
+def compositions(total, parts):
+    """Every count vector of `parts` nonnegative counts summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+class TestEntropyTable:
+    """The batch kernel looks each count's term up in count_terms(0..n, n)."""
+
+    @staticmethod
+    def assert_table_matches(counts):
+        n = int(counts[0].sum())
+        table = metrics.count_terms(np.arange(n + 1), n)
+        looked_up = metrics.entropy_from_terms(table[counts])
+        assert looked_up.tobytes() == metrics.entropy_from_counts(counts).tobytes()
+        return looked_up
+
+    def test_every_eight_agent_composition(self):
+        counts = np.array(list(compositions(8, 8)))
+        assert len(counts) == 6435
+        h = self.assert_table_matches(counts)
+        unanimous = counts.max(axis=1) == 8
+        assert unanimous.sum() == 8
+        assert h[unanimous].tobytes() == np.zeros(8).tobytes()  # +0.0, not -0.0
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_sampled_compositions(self, n):
+        rng = np.random.default_rng(n)
+        # Pools like the kernel's: a few dominant variants, and unanimity.
+        draws = [rng.integers(0, rng.integers(1, n + 1), size=n) for _ in range(3000)]
+        counts = np.array([np.bincount(d, minlength=n) for d in draws])
+        assert (counts.max(axis=1) == n).any()
+        h = self.assert_table_matches(counts)
+        assert np.signbit(h).sum() == 0
+
+
 class TestAdaptiveness:
     def test_fraction_of_high_quality(self):
         assert metrics.adaptiveness([5, 5, 0, 1, 2, 3, 4, 6], [5]) == 0.25

@@ -237,6 +237,38 @@ class TestSummaries:
             assert stats.ci95 == row.ci95
             assert stats.n == row.n
 
+    def test_open_ended_recompute_from_raw_matches_exactly(self):
+        # Under an open-ended horizon each round is summarized over the runs
+        # still going, so late rounds have fewer runners, and a round with
+        # fewer than two gets no rows at all.
+        batch = run_replicates(
+            ParameterPoint(content_sensitivity=0.6, memory_window=math.inf),
+            20, MASTER, horizon=UntilConvergence(40),
+        )
+        rows = summarize_batch(batch)
+        runners = {
+            t: int((batch.n_rounds >= t).sum())
+            for t in range(1, int(batch.n_rounds.max()) + 1)
+        }
+        assert len(set(batch.n_rounds.tolist())) > 2
+        assert any(n < 2 for n in runners.values())
+
+        raw = parse_runs(RUNS_HEADER + "\n" + runs_block(batch))
+        round_rows = [row for row in rows if row.round_no > 0]
+        assert sorted({row.round_no for row in round_rows}) == [
+            t for t, n in runners.items() if n >= 2
+        ]
+        for row in round_rows:
+            values = [
+                float(r[row.metric]) for r in raw if int(r["round"]) == row.round_no
+            ]
+            assert len(values) == runners[row.round_no]
+            stats = metrics.aggregate(values)
+            # hex() tells -0.0 from 0.0, which summary.csv writes apart.
+            assert [stats.mean.hex(), stats.sd.hex(), stats.ci95.hex(), stats.n] == [
+                row.mean.hex(), row.sd.hex(), row.ci95.hex(), row.n
+            ]
+
     def test_open_ended_batches_add_convergence_row(self):
         batch = run_replicates(
             ParameterPoint(content_sensitivity=0.8),

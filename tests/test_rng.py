@@ -35,13 +35,17 @@ def test_absorb_matches_numpy_path():
 
 
 def test_production_uniform_matches_numpy_grid():
+    # The kernel builds each (run, agent) key once and folds in the round
+    # each round; the two steps must give the scalar draw on every cell.
     seeds = np.array([rng.seed_derive(99, 0, r) for r in range(64)], dtype=np.uint64)
-    agents = np.arange(8, dtype=np.uint64)
-    grid = rng.production_uniform_np(seeds[:, None], agents[None, :], 5)
-    assert grid.shape == (64, 8)
-    for r in (0, 31, 63):
-        for a in (0, 3, 7):
-            assert grid[r, a] == rng.production_uniform(int(seeds[r]), a, 5)
+    agents = np.arange(32, dtype=np.uint64)
+    keys = rng.production_keys_np(seeds[:, None], agents[None, :])
+    assert keys.shape == (64, 32)
+    for t in (1, 2, 7, 200, 2**40):
+        grid = rng.production_uniform_np(keys, t)
+        expected = [[rng.production_uniform(int(s), a, t) for a in range(32)]
+                    for s in seeds]
+        assert grid.tolist() == expected
 
 
 def test_to_unit_range():
