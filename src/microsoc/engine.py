@@ -1,21 +1,29 @@
 """Simulation runs, replicate batches, and parameter sweeps.
 
 The batch kernel simulates all replicates of one parameter point at once. Its
-state is one production history and two float64 ego/allo count arrays over
-the memory window, which slides by one round per step. The counts are
-variant-major, (variants, replicates * agents), with column i * n + a for
-agent a of active replicate i. What an agent heard is its partner's
-production, read from the history through the schedule's partner matrix. A
-round's draw runs one variant at a time over that variant's contiguous row,
-in preallocated buffers: pooled frequency, content bias where the variant is
-the quality owner's (a one-hot built once per point), mutation floor, and a
-running sum compared with each agent's uniform. Each step is elementwise, so
-every agent takes exactly the IEEE operations of the test suite's scalar
-reference, tests/scalar_model.py, whose cumulative sum also adds variants
-left to right. The uniforms come from the same counter-based keys: a
-production uniform folds the round into its (run, agent) key last, so the
-keys are built once per point and a round costs one mix. A batched run is
-therefore bit-identical to the scalar reference loop; tests enforce that.
+state is one production history and one integer code per (variant, agent)
+cell, E * S + A for the cell's ego and allo counts over the memory window,
+which slides by one round per step (S, one more than the longest window the
+run can hold, exceeds every count; the quality owner's cell carries an offset
+of S**2). The codes are variant-major, (variants, replicates * agents), with
+column i * n + a for agent a of active replicate i. What an agent heard is its
+partner's production, read from the history through the schedule's partner
+matrix. A production probability depends only on a cell's two counts, on
+whether it is the quality owner's variant and on whether the column's window
+holds that variant, so each round reads it from a table whose entries take
+the scalar reference's IEEE operations (tests/scalar_model.py) in that
+reference's order. The table covers every code while S**2 is at most four
+times the number of cells, and is rebuilt only when the window's totals
+change; otherwise it covers just the codes the cells hold and is rebuilt
+each round. Either way it is at most 16 times the size of the codes, and a
+round costs in proportion to the cells. A round's draw then runs one
+variant at a time: one lookup over that variant's row, a running sum
+compared with each agent's uniform. The sum adds variants left to right, as
+the reference's cumulative sum does. The uniforms come from the same
+counter-based keys: a production uniform folds the round into its (run,
+agent) key last, so the keys are built once per point and a round costs one
+mix. A batched run is therefore bit-identical to the scalar reference loop;
+tests enforce that.
 
 Under an open-ended horizon the kernel steps only the replicates still
 running: one that has converged and finished the round-robin retires, and its
@@ -35,7 +43,6 @@ independent of worker count and lets an interrupted sweep resume exactly.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
@@ -156,6 +163,25 @@ def horizon_rounds(horizon: Horizon, cycle: int) -> int:
     return rounds
 
 
+def _fill_draw_table(out, owner, ego, allo, ego_total, allo_total, c, b, mu, mu_floor):
+    """Set out[flag] to the probability of a variant that the agent's window
+    counts ego times among its own productions and allo times among what it
+    heard, for each entry of the broadcast (owner, ego, allo). owner is 1
+    where the variant is the high-quality one, flag 1 where the window holds
+    that variant.
+
+    Each entry takes the scalar reference's IEEE operations in its order, so
+    a lookup gives the bits the agent-by-agent rule would. Content bias adds
+    beta * owner: beta * 0 == +0.0, which changes no bit.
+    """
+    pooled = ego / ego_total
+    if allo_total != 0:
+        # An empty allo partition hands its weight c to the ego side.
+        pooled = (1.0 - c) * pooled + c * (allo / allo_total)
+    for flag, beta in enumerate((0.0, b)):
+        out[flag] = (1.0 - mu) * ((1.0 - beta) * pooled + beta * owner) + mu_floor
+
+
 @dataclass
 class BatchResult:
     """Dense per-round metrics for all replicates of one point.
@@ -227,23 +253,38 @@ def run_replicates(
     # What a count adds to a round's entropy: the pool always holds n.
     term_table = metrics.count_terms(np.arange(n + 1), n)
 
+    # A cell's window counts E (ego) and A (allo) stay below S, so
+    # code = E * S + A tells them apart; the quality owner's cell adds S**2.
+    S = int(min(max_rounds, m)) + 1
+    owner_code = S * S
+    dense, built = None, None
+
     # Working state of the active set: its row i belongs to replicate rows[i],
     # and column i * n + a to that replicate's agent a, so that variant x of
     # column j is element x * k * n + j of a flat view. `active` indexes the
-    # history with a basic slice while the set is whole. The counts are
-    # float64, which holds them exactly, so the draw reads them uncast.
+    # history with a basic slice while the set is whole.
     rows = np.arange(replicates)
     active = slice(None)
     keys = rng.production_keys_np(seeds[:, None], np.arange(n, dtype=np.uint64)).ravel()
-    owner_hot = np.arange(n_variants)[:, None] == np.repeat(owners, n)
-    ego_counts = np.zeros((n_variants, replicates * n))
-    allo_counts = np.zeros_like(ego_counts)
     all_cols = np.arange(replicates * n)
+    codes = np.zeros((n_variants, replicates * n), dtype=np.intp)
+    codes[np.repeat(owners, n), all_cols] = owner_code
     laid_out = 0
-    # Scratch for the per-variant draw; each round slices the active columns.
-    scratch = np.empty((3, replicates * n))
+    # Buffers for the per-variant draw; each round slices the active columns.
+    lookup_buf = np.empty(replicates * n, dtype=np.intp)
+    acc_buf = np.empty(replicates * n)
     hits_buf = np.empty(replicates * n, dtype=np.int16)
     mask_buf = np.empty(replicates * n, dtype=bool)
+
+    def entries(w):
+        """Flat code indices of round w's ego and allo entries. What an agent
+        heard in round w >= 1 is its partner's production then; round 0 has
+        no allo entries."""
+        produced = prods[active, w].astype(np.intp) * kn
+        if w == 0:
+            return produced.ravel() + cols, cols[:0]
+        heard = produced[:, partners[(w - 1) % cycle]]
+        return produced.ravel() + cols, heard.ravel() + cols
 
     for t in range(1, max_rounds + 1):
         k = len(rows)
@@ -251,49 +292,56 @@ def run_replicates(
         if k != laid_out:  # the first round, or the set was just compacted
             laid_out, cols, act_owners = k, all_cols[:kn], owners[rows]
             # Where each column's high-quality variant sits in the flat
-            # counts, and each replicate's variants in the flat pool counts.
+            # codes, and each replicate's variants in the flat pool counts.
             owned = np.repeat(act_owners, n) * kn + cols
             pool_base = all_cols[:k, None] * n_variants
             owner_pool = pool_base[:, 0] + act_owners
-        ego_flat, allo_flat = ego_counts.reshape(-1), allo_counts.reshape(-1)
-        # The window holds rounds max(0, t - m) .. t - 1, so it slides by one:
-        # round t - 1 enters and round t - 1 - m leaves. What an agent heard in
-        # round w >= 1 is its partner's production then; round 0 has none.
-        entering = prods[active, t - 1].astype(np.intp) * kn
-        ego_flat[entering.ravel() + cols] += 1
-        if t >= 2:
-            allo_flat[entering[:, partners[(t - 2) % cycle]].ravel() + cols] += 1
-        if t - 1 - m >= 0:
-            w = int(t - 1 - m)
-            leaving = prods[active, w].astype(np.intp) * kn
-            ego_flat[leaving.ravel() + cols] -= 1
-            if w >= 1:
-                allo_flat[leaving[:, partners[(w - 1) % cycle]].ravel() + cols] -= 1
-
-        ego_total = min(t, m)
+        ego_total = int(min(t, m))
         allo_total = ego_total - 1 if t <= m else ego_total
-        # Occurrences of the high-quality variant in each agent's window.
-        q_count = ego_flat[owned] + allo_flat[owned]
-        beta = b * (q_count > 0)
-        keep_share = 1.0 - beta
+        codes_flat = codes.reshape(-1)
+        # The window holds rounds max(0, t - m) .. t - 1, so it slides by one:
+        # round t - 1 enters and round t - 1 - m leaves.
+        ego_in, allo_in = entries(t - 1)
+        np.add.at(codes_flat, ego_in, S)
+        np.add.at(codes_flat, allo_in, 1)
+        if t - 1 - m >= 0:
+            ego_out, allo_out = entries(int(t - 1 - m))
+            np.subtract.at(codes_flat, ego_out, S)
+            np.subtract.at(codes_flat, allo_out, 1)
+
+        # The table's entries for a window that holds the high-quality variant
+        # follow the others. While S**2 is at most four times the cells, it is
+        # table[flag, owner, E, A], which every code indexes and which changes
+        # only with the window's totals. Otherwise it holds only the codes the
+        # cells hold, so that its size and its cost stay in proportion to the
+        # cells, however long the window grows.
+        if owner_code <= 4 * codes.size:
+            if (ego_total, allo_total) != built:
+                if dense is None:
+                    dense = np.empty((2, 2, S, S))
+                _fill_draw_table(
+                    dense[:, :, : ego_total + 1, : allo_total + 1], np.arange(2)[:, None, None],
+                    np.arange(ego_total + 1)[:, None], np.arange(allo_total + 1),
+                    ego_total, allo_total, c, b, mu, mu_floor)
+                built = ego_total, allo_total
+            table, index = dense.reshape(-1), codes
+        else:
+            held, index = np.unique(codes_flat, return_inverse=True)
+            owner_bit, count = np.divmod(held, owner_code)
+            table = np.empty((2, len(held)))
+            _fill_draw_table(table, owner_bit, count // S, count % S,
+                             ego_total, allo_total, c, b, mu, mu_floor)
+            table, index = table.reshape(-1), index.reshape(codes.shape)
+        # A column's window holds the high-quality variant unless the owner's
+        # cell counts nothing.
+        flag = (codes_flat[owned] != owner_code) * (len(table) // 2)
         u = rng.production_uniform_np(keys, t)
-        p, q, acc = scratch[:, :kn]
+        lookup, acc = lookup_buf[:kn], acc_buf[:kn]
         hits, mask = hits_buf[:kn], mask_buf[:kn]
         acc[:] = hits[:] = 0
-        for x in range(n_variants):  # the scalar reference's order, op by op
-            np.divide(ego_counts[x], ego_total, out=p)
-            if allo_total != 0:
-                np.multiply(1.0 - c, p, out=p)
-                np.divide(allo_counts[x], allo_total, out=q)
-                np.multiply(c, q, out=q)
-                np.add(p, q, out=p)
-            np.multiply(keep_share, p, out=p)
-            # Content bias adds beta at the owner's variant only; elsewhere the
-            # one-hot form would add beta * 0.0 == +0.0, which changes no bit.
-            np.add(p, beta, out=p, where=owner_hot[x])
-            np.multiply(1.0 - mu, p, out=p)
-            np.add(p, mu_floor, out=p)
-            np.add(acc, p, out=acc)
+        for x in range(n_variants):  # the scalar reference's cumulative order
+            np.add(index[x], flag, out=lookup)
+            np.add(acc, table[lookup], out=acc)
             np.less_equal(acc, u, out=mask)
             np.add(hits, mask, out=hits)
         np.minimum(hits, n_variants - 1, out=hits)
@@ -319,10 +367,7 @@ def run_replicates(
                 keep_cols = np.repeat(keep, n)
                 rows = active = rows[keep]
                 keys = keys.compress(keep_cols)
-                owner_hot, ego_counts, allo_counts = (
-                    a.compress(keep_cols, axis=1)
-                    for a in (owner_hot, ego_counts, allo_counts)
-                )
+                codes = codes.compress(keep_cols, axis=1)
 
     executed = t
     ent = ent[:, :executed]
@@ -464,7 +509,13 @@ def sweep(
             (i, points[i], master_seed, grid.replicates, horizon, sink.wants_runs())
             for i in range(start, len(points))
         ]
-        with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        if workers > 1:
+            # Imported here, so that a serial sweep does not load multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+            pooling = ProcessPoolExecutor(workers)
+        else:
+            pooling = nullcontext()
+        with pooling as pool:
             results = (
                 pool.map(_sweep_point, todo, chunksize=4)
                 if pool

@@ -2,6 +2,10 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +32,15 @@ from microsoc.schedule import ConnectivityKind, Schedule, builtin_schedule
 from oracles import scalar_run
 
 MASTER = 20240101
+
+
+def run_python(code):
+    """Standard output of code run in a fresh interpreter that imports this
+    checkout's microsoc."""
+    path = [str(Path(engine.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
 
 
 def batch_equals_scalar(point, replicates=3, rounds=None):
@@ -98,6 +111,20 @@ class TestScalarAgreement:
 
     def test_truncated_horizon(self):
         batch_equals_scalar(ParameterPoint(content_sensitivity=0.9), rounds=3)
+
+    # Past the round-robin the kernel's draw table covers the widest counts.
+    # With three replicates an unbounded memory leaves more codes than cells,
+    # so the table holds only the cells' codes, rebuilt every round, up to
+    # 40 * 41 + 39; a window of 5 keeps a table of every code, built for the
+    # last time at round 6.
+    @pytest.mark.parametrize("point,rounds", [
+        (ParameterPoint(coordination_bias=0.7, content_sensitivity=0.6), 40),
+        (ParameterPoint(coordination_bias=1.0, content_sensitivity=0.0), 40),
+        (ParameterPoint(coordination_bias=0.7, content_sensitivity=0.6,
+                        memory_window=5.0), 20),
+    ], ids=["unbounded", "unbounded_drift", "window_5"])
+    def test_past_the_round_robin(self, point, rounds):
+        batch_equals_scalar(point, rounds=rounds)
 
 
 class TestPinnedBytes:
@@ -225,6 +252,50 @@ class TestHorizons:
             fixed.productions, open_ended.productions[:, : 7 + 1, :]
         )
         assert np.array_equal(fixed.entropy, open_ended.entropy[:, :7])
+
+    def test_a_far_cap_changes_nothing_before_convergence(self):
+        # Under unbounded memory the kernel's table is sized by its cells, not
+        # by the cap, so a cap of 100000 costs what a cap of 200 does.
+        point = ParameterPoint(content_sensitivity=1.0, mutation_rate=0.0, quality_owner=0)
+        near = run_replicates(point, 4, MASTER, horizon=UntilConvergence(200))
+        far = run_replicates(point, 4, MASTER, horizon=UntilConvergence(100_000))
+        assert (near.convergence_rounds > 0).all()
+        executed = near.entropy.shape[1]
+        assert np.array_equal(far.productions[:, : executed + 1], near.productions)
+        assert np.array_equal(far.convergence_rounds, near.convergence_rounds)
+
+    def test_retiring_replicates_change_no_bits_of_the_rest(self):
+        # With 8 replicates and a cap of 40 the draw table covers every code;
+        # once a quarter of them retire, after round 10, it covers only the
+        # codes the cells hold. Each run's rows match those of the run kept to
+        # the cap, whose table covers every code throughout.
+        point = ParameterPoint(coordination_bias=0.5, content_sensitivity=0.5)
+        fixed = run_replicates(point, 8, MASTER, horizon=FixedHorizon(40))
+        open_ended = run_replicates(point, 8, MASTER, horizon=UntilConvergence(40))
+        assert sorted(open_ended.convergence_rounds) == [7, 10, 12, 12, 13, 15, 24, 26]
+        for r, rounds in enumerate(open_ended.n_rounds):
+            assert np.array_equal(open_ended.productions[r, : rounds + 1],
+                                  fixed.productions[r, : rounds + 1])
+            assert np.array_equal(open_ended.entropy[r, :rounds], fixed.entropy[r, :rounds])
+
+    def test_a_long_unbounded_run_stays_linear(self):
+        # One replicate for 2000 rounds under unbounded memory: the window
+        # grows every round, and the kernel's time and memory must grow with
+        # the rounds, not with their square or cube (0.2-0.4 s, and no
+        # measurable growth of the peak RSS, on a shared 2-vCPU VM).
+        code = (
+            "import resource, time\n"
+            "from microsoc.engine import FixedHorizon, ParameterPoint, run_replicates\n"
+            "run_replicates(ParameterPoint(), 1, 1, horizon=FixedHorizon(50))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "start = time.perf_counter()\n"
+            "run_replicates(ParameterPoint(), 1, 1, horizon=FixedHorizon(2000))\n"
+            "print(time.perf_counter() - start,\n"
+            "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        seconds, grown_kb = map(float, run_python(code).split())
+        assert seconds < 5.0
+        assert grown_kb < 16 * 1024
 
     def test_until_convergence_stops_and_reports(self):
         point = ParameterPoint(content_sensitivity=1.0, mutation_rate=0.0, quality_owner=0)
@@ -519,6 +590,13 @@ class TestSweepGrid:
         sweep(grid, MASTER, sink, workers=1)
         assert calls == grid.points()
         assert len(sink.summaries) == 2 * 4 * 7
+
+    def test_importing_the_package_loads_no_process_pool(self):
+        # Only a sweep with workers > 1 imports the pool.
+        out = run_python("import sys, microsoc, microsoc.cli; "
+                         "print(sorted(m for m in ('concurrent.futures.process', "
+                         "'multiprocessing') if m in sys.modules))")
+        assert out.strip() == "[]"
 
     def test_sweep_worker_count_does_not_change_results(self):
         grid = SweepGrid(
