@@ -221,8 +221,9 @@ def run_replicates(
     point_index: int = 0,
 ) -> BatchResult:
     """All replicates of one point, run in lockstep as a dense batch."""
-    if not isinstance(replicates, int) or replicates < 1:
-        raise InvalidReplicatesError(f"replicates must be >= 1, got {replicates!r}")
+    # A bool is Integral, but np.empty refuses it as a dimension.
+    if isinstance(replicates, bool) or not isinstance(replicates, Integral) or replicates < 1:
+        raise InvalidReplicatesError(f"replicates must be an integer >= 1, got {replicates!r}")
     # An array, not a numpy scalar: uint64 scalar arithmetic warns on wraparound.
     master = np.array([master_seed & rng.MASK64], dtype=np.uint64)
     seeds = rng.absorb_np(master, point_index, np.arange(replicates))
@@ -433,10 +434,10 @@ class SweepGrid:
                 raise InvalidParamsError(f"{name} needs at least one level")
             if len(set(levels)) != len(levels):
                 raise InvalidParamsError(f"{name} must not repeat a level")
-        if not isinstance(self.replicates, int) or self.replicates < 2:
+        if not isinstance(self.replicates, Integral) or self.replicates < 2:
             raise InvalidReplicatesError(
-                f"replicates must be at least 2, since a summary row needs "
-                f"two runs; got {self.replicates!r}"
+                f"replicates must be an integer of at least 2, since a summary "
+                f"row needs two runs; got {self.replicates!r}"
             )
         if sum(isinstance(k, Schedule) for k in self.connectivity) > 1:
             raise InvalidParamsError(

@@ -16,20 +16,12 @@ class InvalidParamsError(MicrosocError, ValueError):
     """A model parameter is outside its legal range."""
 
 
-class EmptyRoundError(MicrosocError, ValueError):
-    """A per-round statistic was requested for an empty production list."""
-
-
 class SeriesTooShortError(MicrosocError, ValueError):
     """A series operation needs more points than were given."""
 
 
 class InsufficientDataError(MicrosocError, ValueError):
     """Aggregation needs at least two values."""
-
-
-class LengthMismatchError(MicrosocError, ValueError):
-    """Two paired series differ in length."""
 
 
 class InvalidReplicatesError(MicrosocError, ValueError):

@@ -1,34 +1,27 @@
-"""Round-level statistics and their aggregation.
+"""The entropy terms and the summary statistics that the package computes.
 
-Every entropy in the package is entropy_from_terms over the count_terms of
-counts spanning the full variant space (zeros included), so numpy's
+Every entropy in the package is entropy_from_terms over count_terms of counts
+spanning the full variant space (zeros included), so numpy's
 length-dependent pairwise summation can never make two code paths disagree:
-the summation tree is fixed by the variant count. entropy_from_counts takes
-the terms of a counts array; the batch kernel looks them up in a table of
-count_terms over 0..n, since a round's pool always holds n productions.
-Convergence is detected by exact comparison with 0.0, which is safe because a
-unanimous round's entropy is computed as -(1.0 * log2(1.0)) == 0.0 with no
-rounding.
+the summation tree is fixed by the variant count. The batch kernel looks the
+terms up in a table of count_terms over 0..n, since a round's pool always
+holds n productions. Convergence is detected by exact comparison with 0.0,
+which is safe because a unanimous round's entropy is computed as
+-(1.0 * log2(1.0)) == 0.0 with no rounding.
 
 aggregate_rows is the one definition of the summary statistics; aggregate
-is its one-row case.
+is its one-row case, pooled merges them and detect_bursts marks the plots.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyRoundError,
-    InsufficientDataError,
-    InvalidParamsError,
-    LengthMismatchError,
-    SeriesTooShortError,
-)
+from .errors import InsufficientDataError, InvalidParamsError, SeriesTooShortError
 
 
 def count_terms(counts, total) -> np.ndarray:
@@ -47,55 +40,6 @@ def entropy_from_terms(terms: np.ndarray) -> np.ndarray:
     -0.0.
     """
     return -terms.sum(axis=-1) + 0.0
-
-
-def entropy_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Shannon entropy (bits) along the last axis of a counts array."""
-    counts = np.asarray(counts, dtype=np.float64)
-    return entropy_from_terms(count_terms(counts, counts.sum(axis=-1, keepdims=True)))
-
-
-def entropy(productions: Sequence[int], n_variants: int) -> float:
-    """Entropy of one round's productions over a variant space of n_variants."""
-    if len(productions) == 0:
-        raise EmptyRoundError("cannot take the entropy of an empty round")
-    if n_variants < 1:
-        raise InvalidParamsError(f"n_variants must be positive, got {n_variants}")
-    arr = np.asarray(productions, dtype=np.int64)
-    if arr.min() < 0 or arr.max() >= n_variants:
-        raise InvalidParamsError("production outside the variant space")
-    counts = np.bincount(arr, minlength=n_variants)
-    return float(entropy_from_counts(counts))
-
-
-def entropy_normalized(productions: Sequence[int], n_variants: int) -> float:
-    """Entropy as a fraction of its maximum log2(n_variants)."""
-    if n_variants < 2:
-        raise InvalidParamsError("normalized entropy needs at least 2 variants")
-    return entropy(productions, n_variants) / math.log2(n_variants)
-
-
-def adaptiveness(productions: Sequence[int], high_quality: Iterable[int]) -> float:
-    """Share of one round's productions that are high-quality variants."""
-    if len(productions) == 0:
-        raise EmptyRoundError("cannot take the adaptiveness of an empty round")
-    high = frozenset(high_quality)
-    return sum(1 for p in productions if p in high) / len(productions)
-
-
-def delta_adaptiveness(series: Sequence[float]) -> list[float]:
-    """First differences of an adaptiveness series (one element shorter)."""
-    if len(series) < 2:
-        raise SeriesTooShortError("need at least two rounds to difference")
-    return [float(series[t] - series[t - 1]) for t in range(1, len(series))]
-
-
-def time_to_convergence(entropy_series: Sequence[float]) -> int | None:
-    """First 1-based round whose entropy is exactly zero, or None if censored."""
-    for t, h in enumerate(entropy_series, start=1):
-        if h == 0.0:
-            return t
-    return None
 
 
 @dataclass(frozen=True)
@@ -169,18 +113,3 @@ def detect_bursts(series: Sequence[float], prominence: float = 0.01) -> list[int
         if left_ok and right_ok:
             out.append(i + 1)
     return out
-
-
-def condition_gap(
-    series_a: Sequence[float], series_b: Sequence[float], n_agents: int
-) -> np.ndarray:
-    """Per-round difference of two entropy series on the normalized scale."""
-    if len(series_a) != len(series_b):
-        raise LengthMismatchError(
-            f"series lengths differ: {len(series_a)} vs {len(series_b)}"
-        )
-    if n_agents < 2:
-        raise InvalidParamsError("need at least 2 agents for a normalized gap")
-    a = np.asarray(series_a, dtype=np.float64)
-    b = np.asarray(series_b, dtype=np.float64)
-    return (a - b) / math.log2(n_agents)

@@ -147,14 +147,10 @@ def summarize_batch(batch) -> list[SummaryRecord]:
     converged run its sd and ci95 are 0.
     """
     point = batch.point
-    key = dict(
-        n_agents=point.n_agents,
-        connectivity=point.connectivity_label,
-        content_bias=point.content_sensitivity,
-        coordination_bias=point.coordination_bias,
-        memory=float(point.memory_window),
-        mutation_rate=point.mutation_rate,
-    )
+    # SummaryRecord's six point fields, in order. Records are built
+    # positionally, which is cheaper than a keyword expansion per record.
+    key = (point.n_agents, point.connectivity_label, point.content_sensitivity,
+           point.coordination_bias, float(point.memory_window), point.mutation_rate)
     out = []
     n_rounds = batch.n_rounds
     columns = [getattr(batch, name) for name in ROUND_METRICS]
@@ -167,13 +163,8 @@ def summarize_batch(batch) -> list[SummaryRecord]:
         # aggregate_rows reduces as is; [:, mask] returns it Fortran-ordered.
         table = np.stack([a[:, t - 1] for a in columns]).compress(mask, axis=1)
         for name, stats in zip(ROUND_METRICS, metrics.aggregate_rows(table)):
-            out.append(
-                SummaryRecord(
-                    **key, round_no=t, metric=name,
-                    mean=stats.mean, sd=stats.sd, ci95=stats.ci95,
-                    n=stats.n, censored_n=0,
-                )
-            )
+            out.append(SummaryRecord(*key, t, name, stats.mean, stats.sd, stats.ci95,
+                                     stats.n, 0))
     if batch.horizon.open_ended:
         conv = batch.convergence_rounds
         done = conv[conv > 0]
@@ -184,13 +175,8 @@ def summarize_batch(batch) -> list[SummaryRecord]:
                 mean, sd, ci = stats.mean, stats.sd, stats.ci95
             else:
                 mean, sd, ci = float(done[0]), 0.0, 0.0
-            out.append(
-                SummaryRecord(
-                    **key, round_no=0, metric=TC_METRIC,
-                    mean=mean, sd=sd, ci95=ci,
-                    n=n, censored_n=batch.n_replicates - n,
-                )
-            )
+            out.append(SummaryRecord(*key, 0, TC_METRIC, mean, sd, ci, n,
+                                     batch.n_replicates - n))
     return out
 
 

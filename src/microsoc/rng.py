@@ -4,14 +4,15 @@ Every random decision in a run is a pure function of a few small integers
 (run seed, stream tag, agent id, round number). There is no mutable generator
 state to thread through the simulation, which buys two things:
 
-* the scalar reference path and the vectorized batch path consume exactly the
-  same uniforms regardless of loop order, so they agree bit for bit;
+* the batch kernel's draws do not depend on loop order or on which
+  replicates are still being stepped;
 * sweep output is byte-identical for any worker count, because nothing about
   scheduling can perturb the draws.
 
-The mixing function is the public-domain splitmix64 finalizer. Python-int and
-numpy-uint64 implementations are kept side by side and must match exactly
-(covered by tests).
+The mixing function is the public-domain splitmix64 finalizer. The scalar
+mix64, absorb and seed_derive derive one run's seed on its own (see README,
+Determinism); the numpy functions derive a point's seeds, its quality
+owners and its production uniforms in whole arrays.
 """
 
 from __future__ import annotations
@@ -53,28 +54,6 @@ def seed_derive(master_seed: int, point_index: int, replicate_index: int) -> int
     return absorb(master_seed, point_index, replicate_index)
 
 
-def to_unit(h: int) -> float:
-    """Map a 64-bit hash to a float in [0, 1) using its top 53 bits.
-
-    Dividing by 2**64 instead can round up to exactly 1.0, which would break
-    inverse-CDF sampling; the 53-bit construction cannot.
-    """
-    return (h >> 11) * 2.0**-53
-
-
-def production_uniform(run_seed: int, agent_id: int, round_no: int) -> float:
-    """The single uniform behind one agent's production draw in one round."""
-    return to_unit(absorb(run_seed, STREAM_PRODUCTION, agent_id, round_no))
-
-
-def owner_draw(run_seed: int, n_agents: int) -> int:
-    """Pick the high-quality variant's initial owner for one run.
-
-    For power-of-two n_agents the modulo is exactly uniform.
-    """
-    return absorb(run_seed, STREAM_OWNER) % n_agents
-
-
 def mix64_np(z: np.ndarray) -> np.ndarray:
     """Vectorized mix64 over a uint64 array."""
     z = z.astype(np.uint64, copy=True)
@@ -94,7 +73,11 @@ def absorb_np(seed: np.ndarray, *words) -> np.ndarray:
 
 
 def to_unit_np(h: np.ndarray) -> np.ndarray:
-    """Vectorized to_unit."""
+    """Map 64-bit hashes to floats in [0, 1) using their top 53 bits.
+
+    Dividing by 2**64 instead can round up to exactly 1.0, which would break
+    inverse-CDF sampling; the 53-bit construction cannot.
+    """
     return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
@@ -109,6 +92,7 @@ def production_keys_np(run_seeds: np.ndarray, agent_ids: np.ndarray) -> np.ndarr
 
 
 def production_uniform_np(keys: np.ndarray, round_no: int) -> np.ndarray:
-    """Production uniforms of one round for production_keys_np's keys,
-    each equal to the scalar production_uniform of its run, agent and round."""
+    """Production uniforms of one round for production_keys_np's keys: the
+    uniform of (run, agent, round) is to_unit(absorb(run_seed,
+    STREAM_PRODUCTION, agent_id, round_no))."""
     return to_unit_np(absorb_np(keys, round_no))

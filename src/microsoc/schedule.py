@@ -361,19 +361,23 @@ def _parse_json(text: str) -> Schedule:
         raise ScheduleParseError(exc.msg, exc.lineno, exc.colno) from None
     if not isinstance(doc, dict) or set(doc) != {"agents", "rounds"}:
         raise ScheduleParseError("document must have exactly 'agents' and 'rounds'", 1)
+    # type() rather than isinstance(): a JSON true or false is a bool, which
+    # subclasses int, and is neither an agent count nor an agent id.
     n_agents = doc["agents"]
-    if not isinstance(n_agents, int) or n_agents < 2:
+    if type(n_agents) is not int or n_agents < 2:
         raise ScheduleParseError(f"bad agent count {n_agents!r}", 1)
+    if not isinstance(doc["rounds"], list):
+        raise ScheduleParseError(f"'rounds' must be a list, got {doc['rounds']!r}", 1)
     rounds = []
     for matching in doc["rounds"]:
+        if not isinstance(matching, list):
+            raise ScheduleParseError(f"a matching must be a list, got {matching!r}", 1)
         pairs = []
         for pair in matching:
-            if not (isinstance(pair, list) and len(pair) == 2):
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(type(a) is int for a in pair)):
                 raise ScheduleParseError(f"bad pair {pair!r}", 1)
-            a, b = pair
-            if not (isinstance(a, int) and isinstance(b, int)):
-                raise ScheduleParseError(f"bad pair {pair!r}", 1)
-            pairs.append((a - 1, b - 1))
+            pairs.append((pair[0] - 1, pair[1] - 1))
         rounds.append(pairs)
     return Schedule.from_pairs(n_agents, rounds)
 

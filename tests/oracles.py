@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from microsoc import metrics, rng
 from microsoc.engine import FixedHorizon, ParameterPoint
 from scalar_model import (
     AgentMemory,
@@ -22,7 +21,10 @@ from scalar_model import (
     MemoryEntry,
     Origin,
     QualityAssignment,
+    entropy,
+    owner_draw,
     production_distribution,
+    production_uniform,
     record_interaction,
     sample_variant,
 )
@@ -167,7 +169,7 @@ def scalar_run(point: ParameterPoint, run_seed: int, rounds: int | None = None):
     if point.quality_owner is not None:
         owner = point.quality_owner
     else:
-        owner = rng.owner_draw(run_seed, n)
+        owner = owner_draw(run_seed, n)
     quality = QualityAssignment.single(owner)
 
     memories = [AgentMemory.initial(i) for i in range(n)]
@@ -180,12 +182,12 @@ def scalar_run(point: ParameterPoint, run_seed: int, rounds: int | None = None):
         prods = []
         for i in range(n):
             dist = production_distribution(memories[i], params, quality, n, t)
-            u = rng.production_uniform(run_seed, i, t)
+            u = production_uniform(run_seed, i, t)
             prods.append(sample_variant(dist, u))
         for a, b in matching:
             record_interaction(memories[a], memories[b], prods[a], prods[b], t)
         productions.append(prods)
-        h = metrics.entropy(prods, n)
+        h = entropy(prods, n)
         entropies.append(h)
         if convergence_round is None and h == 0.0:
             convergence_round = t

@@ -21,6 +21,12 @@ Everything here is scalar and readable. The package's batch kernel
 evaluation order, and the test suite pins the kernel to this reference
 bit for bit; test_model_core.py checks this reference against the brute-force
 evaluator in oracles.py.
+
+The draws and per-round metrics at the end of this file are the scalar
+definitions of what the kernel computes in arrays. The Python-int draws and
+microsoc.rng's numpy-uint64 ones must match exactly (test_rng.py): the
+scalar production_uniform stays the one definition of the draw that the
+kernel's uniforms are checked against.
 """
 
 from __future__ import annotations
@@ -28,11 +34,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from microsoc.engine import UNBOUNDED
-from microsoc.errors import InvalidParamsError, MicrosocError
+from microsoc.errors import InvalidParamsError, MicrosocError, SeriesTooShortError
+from microsoc.metrics import count_terms, entropy_from_terms
+from microsoc.rng import STREAM_OWNER, STREAM_PRODUCTION, absorb
 
 
 class EmptyMemoryError(MicrosocError, ValueError):
@@ -41,6 +50,14 @@ class EmptyMemoryError(MicrosocError, ValueError):
 
 class DuplicateRoundError(MicrosocError, ValueError):
     """An interaction for this round was already recorded in the memory."""
+
+
+class EmptyRoundError(MicrosocError, ValueError):
+    """A per-round statistic was requested for an empty production list."""
+
+
+class LengthMismatchError(MicrosocError, ValueError):
+    """Two paired series differ in length."""
 
 
 class Origin(enum.Enum):
@@ -259,3 +276,85 @@ def record_interaction(
     memory_a.record(MemoryEntry(round_no, Origin.ALLO, produced_b))
     memory_b.record(MemoryEntry(round_no, Origin.EGO, produced_b))
     memory_b.record(MemoryEntry(round_no, Origin.ALLO, produced_a))
+
+
+def to_unit(h: int) -> float:
+    """Map a 64-bit hash to a float in [0, 1) using its top 53 bits."""
+    return (h >> 11) * 2.0**-53
+
+
+def production_uniform(run_seed: int, agent_id: int, round_no: int) -> float:
+    """The single uniform behind one agent's production draw in one round."""
+    return to_unit(absorb(run_seed, STREAM_PRODUCTION, agent_id, round_no))
+
+
+def owner_draw(run_seed: int, n_agents: int) -> int:
+    """Pick the high-quality variant's initial owner for one run.
+
+    For power-of-two n_agents the modulo is exactly uniform.
+    """
+    return absorb(run_seed, STREAM_OWNER) % n_agents
+
+
+def entropy_from_counts(counts: np.ndarray) -> np.ndarray:
+    """Shannon entropy (bits) along the last axis of a counts array."""
+    counts = np.asarray(counts, dtype=np.float64)
+    return entropy_from_terms(count_terms(counts, counts.sum(axis=-1, keepdims=True)))
+
+
+def entropy(productions: Sequence[int], n_variants: int) -> float:
+    """Entropy of one round's productions over a variant space of n_variants."""
+    if len(productions) == 0:
+        raise EmptyRoundError("cannot take the entropy of an empty round")
+    if n_variants < 1:
+        raise InvalidParamsError(f"n_variants must be positive, got {n_variants}")
+    arr = np.asarray(productions, dtype=np.int64)
+    if arr.min() < 0 or arr.max() >= n_variants:
+        raise InvalidParamsError("production outside the variant space")
+    counts = np.bincount(arr, minlength=n_variants)
+    return float(entropy_from_counts(counts))
+
+
+def entropy_normalized(productions: Sequence[int], n_variants: int) -> float:
+    """Entropy as a fraction of its maximum log2(n_variants)."""
+    if n_variants < 2:
+        raise InvalidParamsError("normalized entropy needs at least 2 variants")
+    return entropy(productions, n_variants) / math.log2(n_variants)
+
+
+def adaptiveness(productions: Sequence[int], high_quality: Iterable[int]) -> float:
+    """Share of one round's productions that are high-quality variants."""
+    if len(productions) == 0:
+        raise EmptyRoundError("cannot take the adaptiveness of an empty round")
+    high = frozenset(high_quality)
+    return sum(1 for p in productions if p in high) / len(productions)
+
+
+def delta_adaptiveness(series: Sequence[float]) -> list[float]:
+    """First differences of an adaptiveness series (one element shorter)."""
+    if len(series) < 2:
+        raise SeriesTooShortError("need at least two rounds to difference")
+    return [float(series[t] - series[t - 1]) for t in range(1, len(series))]
+
+
+def time_to_convergence(entropy_series: Sequence[float]) -> int | None:
+    """First 1-based round whose entropy is exactly zero, or None if censored."""
+    for t, h in enumerate(entropy_series, start=1):
+        if h == 0.0:
+            return t
+    return None
+
+
+def condition_gap(
+    series_a: Sequence[float], series_b: Sequence[float], n_agents: int
+) -> np.ndarray:
+    """Per-round difference of two entropy series on the normalized scale."""
+    if len(series_a) != len(series_b):
+        raise LengthMismatchError(
+            f"series lengths differ: {len(series_a)} vs {len(series_b)}"
+        )
+    if n_agents < 2:
+        raise InvalidParamsError("need at least 2 agents for a normalized gap")
+    a = np.asarray(series_a, dtype=np.float64)
+    b = np.asarray(series_b, dtype=np.float64)
+    return (a - b) / math.log2(n_agents)

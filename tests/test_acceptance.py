@@ -22,7 +22,7 @@ import pytest
 
 from microsoc.cli import main
 from microsoc.engine import UNBOUNDED, ParameterPoint, UntilConvergence, run_replicates
-from microsoc.metrics import AggregateStats, condition_gap, detect_bursts, pooled
+from microsoc.metrics import AggregateStats, detect_bursts, pooled
 from microsoc.output import read_summary
 from microsoc.schedule import ConnectivityKind, builtin_schedule, reachability_profile
 
@@ -33,6 +33,7 @@ from oracles import (
     reference_distribution,
     reference_reach,
 )
+from scalar_model import condition_gap
 
 MASTER = 20240101
 KINDS = (ConnectivityKind.EARLY, ConnectivityKind.MID, ConnectivityKind.LATE)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -12,12 +13,19 @@ from pathlib import Path
 import pytest
 
 import microsoc
-from microsoc import cli, engine
+from microsoc import cli, engine, metrics, rng
 from microsoc.cli import DEFAULT_CONFIG, _validated_config, main
 from microsoc.output import SUMMARY_HEADER, CsvSweepSink, read_summary
 from microsoc.schedule import builtin_schedule, export_schedule, load_schedule
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def public_functions(module):
+    """Sorted names of the public functions that module defines."""
+    return sorted(name for name, obj in vars(module).items()
+                  if inspect.isfunction(obj) and obj.__module__ == module.__name__
+                  and not name.startswith("_"))
 
 
 def run_cli(capsys, *argv):
@@ -210,6 +218,15 @@ class TestScheduleCommands:
         assert code == 1
         assert "INVALID" in out
         assert "repeat" in out.lower()
+
+    @pytest.mark.parametrize("command", [("schedule", "validate"),
+                                         ("simulate", "--connectivity")])
+    def test_malformed_json_file_is_a_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_text('{"agents": 8, "rounds": 5}')
+        code, _, err = run_cli(capsys, *command, str(path))
+        assert code == 2
+        assert "'rounds' must be a list" in err
 
     def test_reach_needs_exactly_one_source_kind(self, capsys):
         code, _, err = run_cli(capsys, "schedule", "reach", "--source", "1")
@@ -534,6 +551,16 @@ class TestSweep:
             "BatchResult", "ConnectivityKind", "FixedHorizon", "MicrosocError",
             "ParameterPoint", "Schedule", "SweepGrid", "UntilConvergence",
             "run_replicates", "sweep",
+        ]
+        # The scalar reference of the draws and metrics lives in
+        # tests/scalar_model.py; the package keeps what it calls.
+        assert public_functions(metrics) == [
+            "aggregate", "aggregate_rows", "count_terms", "detect_bursts",
+            "entropy_from_terms", "pooled",
+        ]
+        assert public_functions(rng) == [
+            "absorb", "absorb_np", "mix64", "mix64_np", "production_keys_np",
+            "production_uniform_np", "seed_derive", "to_unit_np",
         ]
         readme = README.read_text(encoding="utf-8")
         block = re.search(r"## Using the library\n\n```python\n(.*?)```", readme, re.S)

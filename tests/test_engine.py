@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from microsoc import engine, metrics, rng
+from microsoc import engine, rng
 from microsoc.engine import (
     FixedHorizon,
     ParameterPoint,
@@ -30,6 +30,13 @@ from microsoc.output import MemorySink, summarize_batch, summary_block
 from microsoc.schedule import ConnectivityKind, Schedule, builtin_schedule
 
 from oracles import scalar_run
+from scalar_model import (
+    adaptiveness,
+    delta_adaptiveness,
+    entropy,
+    entropy_normalized,
+    time_to_convergence,
+)
 
 MASTER = 20240101
 
@@ -400,6 +407,17 @@ class TestValidationAndShapes:
         with pytest.raises(InvalidReplicatesError):
             run_replicates(ParameterPoint(), 0, MASTER)
 
+    @pytest.mark.parametrize("replicates", [np.int64(0), 5.0, "5", True], ids=repr)
+    def test_replicates_must_be_a_positive_integer(self, replicates):
+        with pytest.raises(InvalidReplicatesError, match="an integer >= 1, got"):
+            run_replicates(ParameterPoint(), replicates, MASTER)
+
+    def test_numpy_integer_replicates_accepted(self):
+        batch = run_replicates(ParameterPoint(), np.int64(5), MASTER)
+        assert batch.productions.tobytes() == run_replicates(
+            ParameterPoint(), 5, MASTER).productions.tobytes()
+        assert SweepGrid(replicates=np.int64(10)).validate()
+
     @pytest.mark.parametrize("name,value", [
         *(
             (name, value)
@@ -480,12 +498,15 @@ class TestValidationAndShapes:
         for r in range(batch.n_replicates):
             for t in range(1, int(batch.n_rounds[r]) + 1):
                 prods = list(batch.productions[r, t])
-                assert batch.entropy[r, t - 1] == metrics.entropy(prods, 8)
-                assert batch.adaptiveness[r, t - 1] == metrics.adaptiveness(prods, [2])
+                assert batch.entropy[r, t - 1] == entropy(prods, 8)
+                assert batch.entropy_norm[r, t - 1] == entropy_normalized(prods, 8)
+                assert batch.adaptiveness[r, t - 1] == adaptiveness(prods, [2])
+            converged = time_to_convergence(batch.entropy[r].tolist()) or 0
+            assert batch.convergence_rounds[r] == converged
             a_series = [1 / 8] + list(batch.adaptiveness[r])
             assert np.allclose(
                 batch.delta_adaptiveness[r],
-                metrics.delta_adaptiveness(a_series),
+                delta_adaptiveness(a_series),
                 atol=0,
                 rtol=0,
             )
@@ -547,12 +568,14 @@ class TestSweepGrid:
     ] + [
         pytest.param("replicates", 0, id="replicates-0"),
         pytest.param("replicates", 1, id="replicates-1"),
+        pytest.param("replicates", np.int64(1), id="replicates-int64-1"),
+        pytest.param("replicates", 10.0, id="replicates-10.0"),
     ])
     def test_each_grid_rule_names_its_field(self, field, value):
         with pytest.raises(MicrosocError, match=field) as info:
             SweepGrid(**{field: value}).validate()
         if field == "replicates":
-            assert "at least 2" in str(info.value)
+            assert "an integer of at least 2" in str(info.value)
 
     def test_small_sweep_through_memory_sink(self):
         grid = SweepGrid(

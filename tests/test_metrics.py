@@ -8,51 +8,56 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microsoc import metrics
-from microsoc.errors import (
+from microsoc.errors import InsufficientDataError, InvalidParamsError, SeriesTooShortError
+from scalar_model import (
     EmptyRoundError,
-    InsufficientDataError,
-    InvalidParamsError,
     LengthMismatchError,
-    SeriesTooShortError,
+    adaptiveness,
+    condition_gap,
+    delta_adaptiveness,
+    entropy,
+    entropy_from_counts,
+    entropy_normalized,
+    time_to_convergence,
 )
 
 
 class TestEntropy:
     def test_all_distinct_is_full_bits(self):
-        assert metrics.entropy(list(range(8)), 8) == 3.0
-        assert metrics.entropy(list(range(16)), 16) == 4.0
+        assert entropy(list(range(8)), 8) == 3.0
+        assert entropy(list(range(16)), 16) == 4.0
 
     def test_six_two_split(self):
-        assert metrics.entropy([0] * 6 + [1] * 2, 8) == pytest.approx(
+        assert entropy([0] * 6 + [1] * 2, 8) == pytest.approx(
             0.8112781244591328, abs=1e-15
         )
 
     def test_unanimous_is_exact_zero(self):
-        h = metrics.entropy([5] * 8, 8)
+        h = entropy([5] * 8, 8)
         assert h == 0.0
         assert math.copysign(1.0, h) == 1.0  # normalized, not -0.0
 
     def test_empty_round_rejected(self):
         with pytest.raises(EmptyRoundError):
-            metrics.entropy([], 8)
+            entropy([], 8)
 
     def test_normalized_scale(self):
-        assert metrics.entropy_normalized(list(range(8)), 8) == 1.0
-        assert metrics.entropy_normalized([3] * 8, 8) == 0.0
+        assert entropy_normalized(list(range(8)), 8) == 1.0
+        assert entropy_normalized([3] * 8, 8) == 0.0
 
     @given(st.lists(st.integers(0, 7), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_bounds_and_label_invariance(self, prods):
-        h = metrics.entropy(prods, 8)
+        h = entropy(prods, 8)
         assert 0.0 <= h <= 3.0
         relabeled = [(v + 3) % 8 for v in prods]
-        assert metrics.entropy(relabeled, 8) == pytest.approx(h, abs=1e-12)
-        assert metrics.entropy(list(reversed(prods)), 8) == h
+        assert entropy(relabeled, 8) == pytest.approx(h, abs=1e-12)
+        assert entropy(list(reversed(prods)), 8) == h
 
     def test_matches_counts_helper(self):
         prods = [0, 0, 1, 2, 2, 2, 5, 7]
         counts = np.bincount(prods, minlength=8)
-        assert metrics.entropy(prods, 8) == float(metrics.entropy_from_counts(counts))
+        assert entropy(prods, 8) == float(entropy_from_counts(counts))
 
 
 def compositions(total, parts):
@@ -73,7 +78,7 @@ class TestEntropyTable:
         n = int(counts[0].sum())
         table = metrics.count_terms(np.arange(n + 1), n)
         looked_up = metrics.entropy_from_terms(table[counts])
-        assert looked_up.tobytes() == metrics.entropy_from_counts(counts).tobytes()
+        assert looked_up.tobytes() == entropy_from_counts(counts).tobytes()
         return looked_up
 
     def test_every_eight_agent_composition(self):
@@ -97,50 +102,50 @@ class TestEntropyTable:
 
 class TestAdaptiveness:
     def test_fraction_of_high_quality(self):
-        assert metrics.adaptiveness([5, 5, 0, 1, 2, 3, 4, 6], [5]) == 0.25
-        assert metrics.adaptiveness([0] * 8, [5]) == 0.0
-        assert metrics.adaptiveness([5] * 8, [5]) == 1.0
+        assert adaptiveness([5, 5, 0, 1, 2, 3, 4, 6], [5]) == 0.25
+        assert adaptiveness([0] * 8, [5]) == 0.0
+        assert adaptiveness([5] * 8, [5]) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyRoundError):
-            metrics.adaptiveness([], [5])
+            adaptiveness([], [5])
 
 
 class TestDeltaAdaptiveness:
     def test_first_difference(self):
-        assert metrics.delta_adaptiveness([0.125, 0.25]) == [0.125]
+        assert delta_adaptiveness([0.125, 0.25]) == [0.125]
 
     def test_constant_series_is_zero(self):
-        assert metrics.delta_adaptiveness([0.5, 0.5, 0.5]) == [0.0, 0.0]
+        assert delta_adaptiveness([0.5, 0.5, 0.5]) == [0.0, 0.0]
 
     def test_decreases_allowed(self):
-        deltas = metrics.delta_adaptiveness([0.5, 0.25])
+        deltas = delta_adaptiveness([0.5, 0.25])
         assert deltas == [-0.25]
 
     def test_too_short_rejected(self):
         with pytest.raises(SeriesTooShortError):
-            metrics.delta_adaptiveness([0.5])
+            delta_adaptiveness([0.5])
 
     @given(st.lists(st.integers(0, 8), min_size=2, max_size=10))
     @settings(max_examples=100, deadline=None)
     def test_telescoping_is_exact_on_dyadic_values(self, counts):
         series = [k / 8 for k in counts]
-        deltas = metrics.delta_adaptiveness(series)
+        deltas = delta_adaptiveness(series)
         assert math.fsum(deltas) == series[-1] - series[0]
 
 
 class TestTimeToConvergence:
     def test_first_zero_wins(self):
-        assert metrics.time_to_convergence([3, 2, 1, 0, 0.5, 0]) == 4
+        assert time_to_convergence([3, 2, 1, 0, 0.5, 0]) == 4
 
     def test_immediate(self):
-        assert metrics.time_to_convergence([0.0, 1.0]) == 1
+        assert time_to_convergence([0.0, 1.0]) == 1
 
     def test_censored_is_none(self):
-        assert metrics.time_to_convergence([3, 2, 1]) is None
+        assert time_to_convergence([3, 2, 1]) is None
 
     def test_near_zero_does_not_count(self):
-        assert metrics.time_to_convergence([1e-12, 1e-300]) is None
+        assert time_to_convergence([1e-12, 1e-300]) is None
 
 
 class TestAggregate:
@@ -206,21 +211,21 @@ class TestDetectBursts:
 
 class TestConditionGap:
     def test_identical_series_is_zero(self):
-        gap = metrics.condition_gap([1.0, 2.0], [1.0, 2.0], 8)
+        gap = condition_gap([1.0, 2.0], [1.0, 2.0], 8)
         assert np.all(gap == 0.0)
 
     def test_hand_value(self):
-        gap = metrics.condition_gap([3.0], [1.5], 8)
+        gap = condition_gap([3.0], [1.5], 8)
         assert gap[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_sign_preserved(self):
-        gap = metrics.condition_gap([1.0], [2.0], 8)
+        gap = condition_gap([1.0], [2.0], 8)
         assert gap[0] < 0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(LengthMismatchError):
-            metrics.condition_gap([1.0, 2.0], [1.0], 8)
+            condition_gap([1.0, 2.0], [1.0], 8)
 
     def test_degenerate_population_rejected(self):
         with pytest.raises(InvalidParamsError):
-            metrics.condition_gap([1.0], [1.0], 1)
+            condition_gap([1.0], [1.0], 1)

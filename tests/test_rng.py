@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from microsoc import rng
+from scalar_model import owner_draw, production_uniform, to_unit
 
 
 def test_known_answer_vector():
@@ -43,16 +44,16 @@ def test_production_uniform_matches_numpy_grid():
     assert keys.shape == (64, 32)
     for t in (1, 2, 7, 200, 2**40):
         grid = rng.production_uniform_np(keys, t)
-        expected = [[rng.production_uniform(int(s), a, t) for a in range(32)]
+        expected = [[production_uniform(int(s), a, t) for a in range(32)]
                     for s in seeds]
         assert grid.tolist() == expected
 
 
 def test_to_unit_range():
     for h in (0, 1, 2**53, 2**64 - 1, 0xDEADBEEFDEADBEEF):
-        u = rng.to_unit(h)
+        u = to_unit(h)
         assert 0.0 <= u < 1.0
-    assert rng.to_unit(2**64 - 1) == (2**53 - 1) / 2**53
+    assert to_unit(2**64 - 1) == (2**53 - 1) / 2**53
 
 
 def test_seed_derive_injective_over_sweep_ranges():
@@ -79,15 +80,15 @@ def test_unit_stream_statistics():
 
 
 def test_production_uniform_deterministic_and_keyed():
-    u = rng.production_uniform(123456, 3, 4)
-    assert u == rng.production_uniform(123456, 3, 4)
-    assert u != rng.production_uniform(123456, 2, 4)
-    assert u != rng.production_uniform(123456, 3, 5)
-    assert u != rng.production_uniform(123457, 3, 4)
+    u = production_uniform(123456, 3, 4)
+    assert u == production_uniform(123456, 3, 4)
+    assert u != production_uniform(123456, 2, 4)
+    assert u != production_uniform(123456, 3, 5)
+    assert u != production_uniform(123457, 3, 4)
 
 
 def test_owner_draw_in_range_and_covers_agents():
-    draws = [rng.owner_draw(rng.seed_derive(5, 0, r), 8) for r in range(4096)]
+    draws = [owner_draw(rng.seed_derive(5, 0, r), 8) for r in range(4096)]
     assert set(draws) == set(range(8))
     counts = np.bincount(draws, minlength=8)
     # Exact-uniform modulo on a power of two: loose 5-sigma binomial band.
@@ -99,4 +100,4 @@ def test_owner_draw_in_range_and_covers_agents():
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_owner_draw_never_out_of_range(n):
     for r in range(100):
-        assert 0 <= rng.owner_draw(rng.seed_derive(1, 0, r), n) < n
+        assert 0 <= owner_draw(rng.seed_derive(1, 0, r), n) < n

@@ -209,6 +209,17 @@ class TestSerialization:
         assert info.value.line == 2
         assert info.value.column == 5
 
+    @pytest.mark.parametrize("doc", [
+        {"agents": 8, "rounds": 5},
+        {"agents": 8, "rounds": [5]},
+        {"agents": 4, "rounds": [[[1, 2], [3, 4]], "1-3 2-4"]},
+        {"agents": 4, "rounds": [[[True, 2], [3, 4]]]},
+        {"agents": True, "rounds": [[[1, 2]]]},
+    ], ids=json.dumps)
+    def test_malformed_json_is_a_parse_error(self, doc):
+        with pytest.raises(ScheduleParseError):
+            loads_schedule(json.dumps(doc))
+
     def test_missing_header_rejected(self):
         with pytest.raises(ScheduleParseError):
             loads_schedule("1-2 3-4\n")
