@@ -206,13 +206,11 @@ def cmd_simulate(args) -> int:
     header = ("round", "entropy", "entropy_norm", "adaptiveness", "delta_a")
     print("{:>5} {:>9} {:>13} {:>13} {:>8}".format(*header))
     if args.runs == 1:
+        # Each derived metric is a property that computes its whole array.
+        columns = [getattr(batch, name)[0] for name in output.ROUND_METRICS]
         for t in range(1, int(batch.n_rounds[0]) + 1):
-            print(
-                f"{t:>5} {batch.entropy[0, t - 1]:>9.3f} "
-                f"{batch.entropy_norm[0, t - 1]:>13.3f} "
-                f"{batch.adaptiveness[0, t - 1]:>13.3f} "
-                f"{batch.delta_adaptiveness[0, t - 1]:>8.3f}"
-            )
+            e, en, a, d = (column[t - 1] for column in columns)
+            print(f"{t:>5} {e:>9.3f} {en:>13.3f} {a:>13.3f} {d:>8.3f}")
         conv = int(batch.convergence_rounds[0])  # 0: not converged
         if conv:
             print(f"# converged at round {conv}")

@@ -19,16 +19,18 @@ each round. Either way it is at most 16 times the size of the codes, and a
 round costs in proportion to the cells. A round's draw then runs one
 variant at a time: one lookup over that variant's row, a running sum
 compared with each agent's uniform. The sum adds variants left to right, as
-the reference's cumulative sum does. The uniforms come from the same
-counter-based keys: a production uniform folds the round into its (run,
-agent) key last, so the keys are built once per point and a round costs one
-mix. A batched run is therefore bit-identical to the scalar reference loop;
-tests enforce that.
+the reference's cumulative sum does, and never decreases, so the last
+variant needs no comparison. The uniforms come from the same counter-based
+keys: a production uniform folds the round into its (run, agent) key last,
+so the keys are built once per point and a round costs one mix. A batched
+run is therefore bit-identical to the scalar reference loop; tests enforce
+that. A batch stores the round's entropy and high-quality count, the two
+metrics the kernel measures, and derives the others on access.
 
 Under an open-ended horizon the kernel steps only the replicates still
 running: one that has converged and finished the round-robin retires, and its
-columns past n_rounds hold a fixed fill (NaN, and -1 for productions), so a
-replicate's row depends on its seed alone, never on its batch-mates.
+columns past n_rounds hold a fixed fill (NaN, and -1 for counts and
+productions), so a replicate's row depends on its seed alone.
 
 A point's connectivity is one field: a built-in kind or a Schedule. One call,
 ParameterPoint.validate(), decides whether a point runs and returns the
@@ -109,6 +111,8 @@ class ParameterPoint:
 
     def validate(self) -> Schedule:
         """Raise unless the point can run; return the schedule it steps."""
+        for name in ("n_agents", "memory_window", "quality_owner"):
+            _refuse_bool(name, getattr(self, name))
         n = self.n_agents
         if not isinstance(n, Integral):
             raise InvalidParamsError(f"n_agents must be an integer, got {n!r}")
@@ -148,6 +152,12 @@ class ParameterPoint:
         return schedule
 
 
+def _refuse_bool(name: str, value) -> None:
+    """bool is Integral, so True would otherwise pass for the integer 1."""
+    if isinstance(value, bool):
+        raise InvalidParamsError(f"{name} must not be a bool, got {value!r}")
+
+
 def horizon_rounds(horizon: Horizon, cycle: int) -> int:
     """The most rounds a run steps under horizon with a cycle-round schedule;
     raise unless that is at least 1, and open-ended, at least one cycle."""
@@ -155,6 +165,7 @@ def horizon_rounds(horizon: Horizon, cycle: int) -> int:
         rounds, least = horizon.max_rounds, cycle
     else:
         rounds, least = (cycle if horizon.rounds is None else horizon.rounds), 1
+    _refuse_bool("max_rounds" if horizon.open_ended else "rounds", rounds)
     if not (isinstance(rounds, Integral) and rounds >= least):
         raise InvalidParamsError(
             f"{horizon} needs an integer number of rounds >= {least}, for a "
@@ -188,12 +199,15 @@ class BatchResult:
 
     Rows of the metric arrays are replicates; columns are rounds 1..max
     executed. n_rounds[r] says how many leading columns are meaningful for
-    replicate r (they differ only in until-convergence mode). The columns
-    past n_rounds[r] are NaN in the four metric arrays and -1 in productions
-    (where column t is round t, so the fill starts at n_rounds[r] + 1): a
-    converged replicate is no longer stepped. productions is the kernel's
-    only history: column 0 holds each agent's seed variant, and what agents
-    heard in round t is productions[:, t] permuted by the round's partners.
+    replicate r (they differ only in until-convergence mode). quality_counts
+    says how many of a round's n productions are the high-quality variant.
+    The columns past n_rounds[r] are NaN in entropy and -1 in quality_counts
+    and productions (where column t is round t, so the fill starts at
+    n_rounds[r] + 1): a converged replicate is no longer stepped. productions
+    is the kernel's only history: column 0 holds each agent's seed variant,
+    and what agents heard in round t is productions[:, t] permuted by the
+    round's partners. The other metrics are read-only properties, NaN past
+    n_rounds; each access computes a whole array.
     """
 
     point: ParameterPoint
@@ -202,15 +216,27 @@ class BatchResult:
     quality_owners: np.ndarray
     n_rounds: np.ndarray
     entropy: np.ndarray
-    entropy_norm: np.ndarray
-    adaptiveness: np.ndarray
-    delta_adaptiveness: np.ndarray
+    quality_counts: np.ndarray
     convergence_rounds: np.ndarray  # 0 where censored
     productions: np.ndarray  # (replicates, max_rounds + 1, n_agents)
 
     @property
     def n_replicates(self) -> int:
         return len(self.run_seeds)
+
+    @property
+    def entropy_norm(self) -> np.ndarray:
+        return self.entropy / math.log2(self.point.n_agents)
+
+    @property
+    def adaptiveness(self) -> np.ndarray:
+        counts = self.quality_counts
+        return np.where(counts < 0, np.nan, counts / self.point.n_agents)
+
+    @property
+    def delta_adaptiveness(self) -> np.ndarray:
+        """The change from the round before; before round 1, from 1/n."""
+        return np.diff(self.adaptiveness, axis=1, prepend=1 / self.point.n_agents)
 
 
 def run_replicates(
@@ -249,7 +275,7 @@ def run_replicates(
     prods = np.empty((replicates, max_rounds + 1, n), dtype=np.int16)
     prods[:, 0, :] = np.arange(n, dtype=np.int16)
     ent = np.zeros((replicates, max_rounds))
-    adapt = np.zeros((replicates, max_rounds))
+    quality = np.zeros((replicates, max_rounds), dtype=np.int16)
     conv = np.zeros(replicates, dtype=np.int64)
     # What a count adds to a round's entropy: the pool always holds n.
     term_table = metrics.count_terms(np.arange(n + 1), n)
@@ -340,19 +366,19 @@ def run_replicates(
         lookup, acc = lookup_buf[:kn], acc_buf[:kn]
         hits, mask = hits_buf[:kn], mask_buf[:kn]
         acc[:] = hits[:] = 0
-        for x in range(n_variants):  # the scalar reference's cumulative order
+        # The reference's cumulative order; the last variant needs no sum.
+        for x in range(n_variants - 1):
             np.add(index[x], flag, out=lookup)
             np.add(acc, table[lookup], out=acc)
             np.less_equal(acc, u, out=mask)
             np.add(hits, mask, out=hits)
-        np.minimum(hits, n_variants - 1, out=hits)
         idx = hits.reshape(k, n)
         prods[active, t, :] = idx
 
         pool_counts = np.bincount((pool_base + idx).ravel(), minlength=k * n_variants)
         h = metrics.entropy_from_terms(term_table[pool_counts.reshape(k, n_variants)])
         ent[active, t - 1] = h
-        adapt[active, t - 1] = pool_counts[owner_pool] / n
+        quality[active, t - 1] = pool_counts[owner_pool]
         conv[rows[(conv[active] == 0) & (h == 0.0)]] = t
 
         if horizon.open_ended and t >= cycle:
@@ -372,20 +398,19 @@ def run_replicates(
 
     executed = t
     ent = ent[:, :executed]
-    adapt = adapt[:, :executed]
+    quality = quality[:, :executed]
     productions = prods[:, : executed + 1, :]
     if horizon.open_ended:
         n_rounds = np.where(conv > 0, np.maximum(conv, cycle), executed)
         # Columns past a replicate's own horizon get a fixed fill, so its row
         # depends on its seed alone and not on its batch-mates. The derived
-        # metrics below inherit the NaN.
+        # metrics inherit the NaN.
         past = np.arange(executed) >= n_rounds[:, None]
-        ent[past] = np.nan
-        adapt[past] = np.nan
-        productions[:, 1:, :][past] = -1
+        np.copyto(ent, np.nan, where=past)
+        np.copyto(quality, -1, where=past)
+        np.copyto(productions[:, 1:, :], -1, where=past[:, :, None])
     else:
         n_rounds = np.full(replicates, executed, dtype=np.int64)
-    a0 = np.full((replicates, 1), 1 / n)
 
     return BatchResult(
         point=point,
@@ -394,9 +419,7 @@ def run_replicates(
         quality_owners=owners,
         n_rounds=n_rounds,
         entropy=ent,
-        entropy_norm=ent / math.log2(n),
-        adaptiveness=adapt,
-        delta_adaptiveness=np.diff(np.concatenate([a0, adapt], axis=1), axis=1),
+        quality_counts=quality,
         convergence_rounds=conv,
         productions=productions,
     )
@@ -413,6 +436,10 @@ class SweepGrid:
     summary rows are told apart by their levels; replicates is at least 2.
     """
 
+    # The level fields in nesting order, that of ParameterPoint's first five.
+    LEVELS: ClassVar = ("population_sizes", "connectivity", "coordination_bias_levels",
+                        "content_bias_levels", "memory_levels")
+
     population_sizes: tuple[int, ...] = (8,)
     connectivity: tuple[ConnectivityKind | Schedule, ...] = tuple(ConnectivityKind)
     coordination_bias_levels: tuple[float, ...] = tuple(
@@ -427,8 +454,7 @@ class SweepGrid:
     def validate(self) -> tuple[Schedule, ...]:
         """Raise, naming the field, unless the sweep can run: sweep's first step.
         Return the distinct schedules that the points resolved."""
-        for name in ("population_sizes", "connectivity", "coordination_bias_levels",
-                     "content_bias_levels", "memory_levels"):
+        for name in self.LEVELS:
             levels = getattr(self, name)
             if not levels:
                 raise InvalidParamsError(f"{name} needs at least one level")
@@ -447,24 +473,8 @@ class SweepGrid:
         return tuple(dict.fromkeys(p.validate() for p in self.points()))
 
     def points(self) -> list[ParameterPoint]:
-        return [
-            ParameterPoint(
-                n_agents=n,
-                connectivity=kind,
-                coordination_bias=c,
-                content_sensitivity=b,
-                memory_window=m,
-                mutation_rate=self.mutation_rate,
-                quality_owner=self.quality_owner,
-            )
-            for n, kind, c, b, m in product(
-                self.population_sizes,
-                self.connectivity,
-                self.coordination_bias_levels,
-                self.content_bias_levels,
-                self.memory_levels,
-            )
-        ]
+        return [ParameterPoint(*levels, self.mutation_rate, self.quality_owner)
+                for levels in product(*(getattr(self, name) for name in self.LEVELS))]
 
 
 def _sweep_point(args) -> tuple[int, "object"]:

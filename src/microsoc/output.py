@@ -37,7 +37,7 @@ SUMMARY_HEADER = (
     "mutation_rate,round,metric,mean,sd,ci95,n,censored_n"
 )
 
-# The per-round metric arrays of a BatchResult, in column order.
+# The per-round metrics of a BatchResult, in column order.
 ROUND_METRICS = ("entropy", "entropy_norm", "adaptiveness", "delta_adaptiveness")
 TC_METRIC = "time_to_convergence"
 
@@ -70,18 +70,17 @@ def fmt_memory(m: float) -> str:
     return "inf" if math.isinf(m) else str(int(m))
 
 
-def _point_fields(point) -> str:
+def _point_key(point) -> tuple:
+    """SummaryRecord's six point fields, in order."""
+    return (point.n_agents, point.connectivity_label, point.content_sensitivity,
+            point.coordination_bias, float(point.memory_window), point.mutation_rate)
+
+
+def _point_fields(n_agents, connectivity, content_bias, coordination_bias, memory,
+                  mutation_rate) -> str:
     """The shared point-identity column block of both files."""
-    return ",".join(
-        (
-            str(point.n_agents),
-            point.connectivity_label,
-            fmt_float(point.content_sensitivity),
-            fmt_float(point.coordination_bias),
-            fmt_memory(point.memory_window),
-            fmt_float(point.mutation_rate),
-        )
-    )
+    return ",".join((str(n_agents), connectivity, fmt_float(content_bias),
+                     fmt_float(coordination_bias), fmt_memory(memory), fmt_float(mutation_rate)))
 
 
 def runs_block(batch) -> str:
@@ -90,41 +89,48 @@ def runs_block(batch) -> str:
     A row is a per-replicate head (run_id .. quality_owner) and a tail
     (round .. converged_flag). A point has far fewer distinct tails than
     rows, so each distinct metric value is formatted once and each distinct
-    tail is built once: cells are keyed by their round and the bit patterns
-    of their four metrics (bits, not values, because -0.0 == 0.0 but
-    formats as "-0"), and rows are joined from the head and tail tables.
+    tail is built once: cells are keyed by their round, the bit pattern of
+    their entropy (bits, not values, because -0.0 == 0.0 but formats as
+    "-0") and their quality count paired with the round before's, and rows
+    are joined from the head and tail tables.
     """
     n_cols = batch.entropy.shape[1]
     # Row-major order of the meaningful cells is the file's run/round order.
     run_idx, round_idx = np.nonzero(np.arange(n_cols) < batch.n_rounds[:, None])
     if len(run_idx) == 0:
         return ""
+    n = batch.point.n_agents
+    levels, ent_code = np.unique(batch.entropy[run_idx, round_idx].view(np.uint64),
+                                 return_inverse=True)
+    counts = batch.quality_counts
+    # Before round 1 the count before is 1, a share of 1/n.
+    prior = np.where(round_idx > 0, counts[run_idx, round_idx - 1], 1)
+    pair = counts[run_idx, round_idx].astype(np.int64) * (n + 1) + prior
     key = round_idx.astype(np.int64)
     span = n_cols
-    levels_of, codes = [], []
-    for name in ROUND_METRICS:
-        levels, code = np.unique(
-            getattr(batch, name)[run_idx, round_idx].view(np.uint64),
-            return_inverse=True,
-        )
-        levels_of.append(levels.view(np.float64).tolist())
-        codes.append(code)
-        if span * len(levels) >= 2**63:
+    for size, code in ((len(levels), ent_code), ((n + 1) ** 2, pair)):
+        if span * size >= 2**63:
             # Renumber the key densely so the next fold cannot overflow.
             distinct, key = np.unique(key, return_inverse=True)
             span = len(distinct)
-        key = key * len(levels) + code
-        span *= len(levels)
-    _, first, tail_idx = np.unique(key, return_index=True, return_inverse=True)
-    ent, entn, adapt, delta = (["%.17g" % x for x in lv] for lv in levels_of)
-    converged = [int(x == 0.0) for x in levels_of[0]]
-    tails = [
-        f",{t + 1},{ent[e]},{entn[en]},{adapt[a]},{delta[d]},{converged[e]}\n"
-        for t, e, en, a, d in zip(
-            round_idx[first].tolist(), *(code[first].tolist() for code in codes)
-        )
-    ]
-    mid = _point_fields(batch.point)
+        key = key * size + code
+        span *= size
+    # Every cell with a key formats the same tail, so any one stands for it.
+    distinct, tail_idx = np.unique(key, return_inverse=True)
+    rep = np.empty(len(distinct), dtype=np.intp)
+    rep[tail_idx] = np.arange(len(key))
+    # Each level takes the operations of its BatchResult property.
+    e = levels.view(np.float64)
+    ent = ["%.17g,%.17g" % xy for xy in zip(e.tolist(), (e / math.log2(n)).tolist())]
+    converged = [int(x == 0.0) for x in e.tolist()]
+    pairs, pair_idx = np.unique(pair[rep], return_inverse=True)
+    now, before = np.divmod(pairs, n + 1)
+    share = np.arange(n + 1) / n
+    adapt = ["%.17g,%.17g" % xy for xy in zip(share[now].tolist(),
+                                               (share[now] - share[before]).tolist())]
+    tails = [f",{t + 1},{ent[i]},{adapt[j]},{converged[i]}\n" for t, i, j in
+             zip(round_idx[rep].tolist(), ent_code[rep].tolist(), pair_idx.tolist())]
+    mid = _point_fields(*_point_key(batch.point))
     heads = [
         f"{r},{seed},{mid},{owner + 1}"
         for r, (seed, owner) in enumerate(
@@ -146,22 +152,21 @@ def summarize_batch(batch) -> list[SummaryRecord]:
     run lengths, and only if at least one run converged; with a single
     converged run its sd and ci95 are 0.
     """
-    point = batch.point
-    # SummaryRecord's six point fields, in order. Records are built
-    # positionally, which is cheaper than a keyword expansion per record.
-    key = (point.n_agents, point.connectivity_label, point.content_sensitivity,
-           point.coordination_bias, float(point.memory_window), point.mutation_rate)
+    # Records are built positionally: cheaper than a keyword expansion each.
+    key = _point_key(batch.point)
     out = []
-    n_rounds = batch.n_rounds
-    columns = [getattr(batch, name) for name in ROUND_METRICS]
+    n_rounds, counts, n_agents = batch.n_rounds, batch.quality_counts, batch.point.n_agents
     for t in range(1, int(n_rounds.max()) + 1):
         mask = n_rounds >= t
         n = int(mask.sum())
         if n < 2:
             continue
-        # One gather per round. compress returns the table in C order, which
-        # aggregate_rows reduces as is; [:, mask] returns it Fortran-ordered.
-        table = np.stack([a[:, t - 1] for a in columns]).compress(mask, axis=1)
+        # The derived metrics take the operations of the BatchResult
+        # properties; np.stack gives the C order aggregate_rows expects.
+        e = batch.entropy[:, t - 1].compress(mask)
+        a = counts[:, t - 1].compress(mask) / n_agents
+        prev = counts[:, t - 2].compress(mask) / n_agents if t > 1 else 1 / n_agents
+        table = np.stack([e, e / math.log2(n_agents), a, a - prev])
         for name, stats in zip(ROUND_METRICS, metrics.aggregate_rows(table)):
             out.append(SummaryRecord(*key, t, name, stats.mean, stats.sd, stats.ci95,
                                      stats.n, 0))
@@ -181,23 +186,10 @@ def summarize_batch(batch) -> list[SummaryRecord]:
 
 
 def summary_row(rec: SummaryRecord) -> str:
-    return ",".join(
-        (
-            str(rec.n_agents),
-            rec.connectivity,
-            fmt_float(rec.content_bias),
-            fmt_float(rec.coordination_bias),
-            fmt_memory(rec.memory),
-            fmt_float(rec.mutation_rate),
-            str(rec.round_no),
-            rec.metric,
-            fmt_float(rec.mean),
-            fmt_float(rec.sd),
-            fmt_float(rec.ci95),
-            str(rec.n),
-            str(rec.censored_n),
-        )
-    )
+    point = _point_fields(rec.n_agents, rec.connectivity, rec.content_bias,
+                          rec.coordination_bias, rec.memory, rec.mutation_rate)
+    return (f"{point},{rec.round_no},{rec.metric},{fmt_float(rec.mean)},"
+            f"{fmt_float(rec.sd)},{fmt_float(rec.ci95)},{rec.n},{rec.censored_n}")
 
 
 def summary_block(records) -> str:

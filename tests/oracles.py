@@ -207,14 +207,18 @@ def reference_runs_block(batch) -> str:
         f"{'%.17g' % point.content_sensitivity},{'%.17g' % point.coordination_bias},"
         f"{memory},{'%.17g' % point.mutation_rate}"
     )
+    # Each derived metric is a property that computes its whole array, so it
+    # is read once here, not once per cell.
+    entropy, entropy_norm = batch.entropy, batch.entropy_norm
+    adaptiveness, delta = batch.adaptiveness, batch.delta_adaptiveness
     rows = []
     for r in range(batch.n_replicates):
         head = f"{r},{batch.run_seeds[r]},{mid},{batch.quality_owners[r] + 1}"
         for t in range(int(batch.n_rounds[r])):
-            e = float(batch.entropy[r, t])
+            e = float(entropy[r, t])
             rows.append(
-                f"{head},{t + 1},{'%.17g' % e},{'%.17g' % batch.entropy_norm[r, t]},"
-                f"{'%.17g' % batch.adaptiveness[r, t]},"
-                f"{'%.17g' % batch.delta_adaptiveness[r, t]},{int(e == 0.0)}"
+                f"{head},{t + 1},{'%.17g' % e},{'%.17g' % entropy_norm[r, t]},"
+                f"{'%.17g' % adaptiveness[r, t]},"
+                f"{'%.17g' % delta[r, t]},{int(e == 0.0)}"
             )
     return "".join(row + "\n" for row in rows)

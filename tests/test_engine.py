@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -412,6 +413,20 @@ class TestValidationAndShapes:
         with pytest.raises(InvalidReplicatesError, match="an integer >= 1, got"):
             run_replicates(ParameterPoint(), replicates, MASTER)
 
+    @pytest.mark.parametrize("point,horizon,field", [
+        (ParameterPoint(n_agents=True), FixedHorizon(), "n_agents"),
+        (ParameterPoint(memory_window=True), FixedHorizon(), "memory_window"),
+        (ParameterPoint(quality_owner=True), FixedHorizon(), "quality_owner"),
+        (ParameterPoint(quality_owner=False), FixedHorizon(), "quality_owner"),
+        (ParameterPoint(), FixedHorizon(True), "rounds"),
+        (ParameterPoint(), UntilConvergence(True), "max_rounds"),
+    ], ids=["n_agents", "memory_window", "owner_true", "owner_false", "rounds",
+            "max_rounds"])
+    def test_a_bool_is_not_an_integer(self, point, horizon, field):
+        # bool is Integral: True would otherwise run as 1.
+        with pytest.raises(InvalidParamsError, match=rf"^{field} must not be a bool"):
+            run_replicates(point, 2, MASTER, horizon=horizon)
+
     def test_numpy_integer_replicates_accepted(self):
         batch = run_replicates(ParameterPoint(), np.int64(5), MASTER)
         assert batch.productions.tobytes() == run_replicates(
@@ -495,17 +510,20 @@ class TestValidationAndShapes:
     def test_metrics_recompute_from_productions(self):
         point = ParameterPoint(content_sensitivity=0.5, quality_owner=2)
         batch = run_replicates(point, 5, MASTER)
+        # The derived metrics are properties: read each array once.
+        entropy_norm, adapt = batch.entropy_norm, batch.adaptiveness
+        delta = batch.delta_adaptiveness
         for r in range(batch.n_replicates):
             for t in range(1, int(batch.n_rounds[r]) + 1):
                 prods = list(batch.productions[r, t])
                 assert batch.entropy[r, t - 1] == entropy(prods, 8)
-                assert batch.entropy_norm[r, t - 1] == entropy_normalized(prods, 8)
-                assert batch.adaptiveness[r, t - 1] == adaptiveness(prods, [2])
+                assert entropy_norm[r, t - 1] == entropy_normalized(prods, 8)
+                assert adapt[r, t - 1] == adaptiveness(prods, [2])
             converged = time_to_convergence(batch.entropy[r].tolist()) or 0
             assert batch.convergence_rounds[r] == converged
-            a_series = [1 / 8] + list(batch.adaptiveness[r])
+            a_series = [1 / 8] + list(adapt[r])
             assert np.allclose(
-                batch.delta_adaptiveness[r],
+                delta[r],
                 delta_adaptiveness(a_series),
                 atol=0,
                 rtol=0,
@@ -534,6 +552,28 @@ class TestStatisticalInvariants:
         assert np.all(batch.entropy == 3.0)
         expected = np.tile(np.arange(8), (10, 8, 1))
         assert np.array_equal(batch.productions, expected)
+
+
+class TestWorkingMemory:
+    # The until-convergence point of the benchmark: its batch steps to the cap.
+    POINT = ParameterPoint(coordination_bias=1.0, content_sensitivity=0.0, memory_window=3.0)
+
+    def test_an_until_convergence_point_stays_small(self):
+        # The batch stores entropy (8 bytes), the quality count (2) and the
+        # productions (16) per run-round, 5.2 MB here, and the kernel's
+        # working state on top. Any one derived float64 array would cost
+        # 1.6 MB more.
+        tracemalloc.start()
+        try:
+            batch = run_replicates(self.POINT, 1000, MASTER, horizon=UntilConvergence(200))
+            held, peak = tracemalloc.get_traced_memory()
+            assert batch.entropy.shape == (1000, 200)
+            assert peak <= 8e6
+            tracemalloc.reset_peak()
+            summarize_batch(batch)
+            assert tracemalloc.get_traced_memory()[1] - held <= 0.5e6
+        finally:
+            tracemalloc.stop()
 
 
 class TestSweepGrid:

@@ -147,11 +147,13 @@ class TestRunsBlockMatchesReference:
 
     def test_hand_built_values(self):
         # -0.0 and 0.0 are equal but format differently; a subnormal, 1/3 and
-        # 0.1 need all 17 digits; values repeat across rounds and replicates.
+        # 0.1 need all 17 digits; values repeat across rounds and replicates,
+        # and so do the quality counts, whose pairs fix the deltas.
         values = [-0.0, 0.0, 5e-324, 1 / 3, 0.1, 0.1, -0.0, 1 / 3]
-        grid = np.array(values * 3, dtype=np.float64).reshape(3, 8)
-        ragged = grid.copy()
+        ragged = np.array(values * 3, dtype=np.float64).reshape(3, 8)
         ragged[1, 5:] = np.nan
+        counts = np.array([0, 8, 1, 3, 3, 5, 2, 1] * 3, dtype=np.int16).reshape(3, 8)
+        counts[1, 5:] = -1
         batch = BatchResult(
             point=ParameterPoint(coordination_bias=0.1, content_sensitivity=1 / 3),
             horizon=UntilConvergence(8),
@@ -159,9 +161,7 @@ class TestRunsBlockMatchesReference:
             quality_owners=np.array([0, 7, 3]),
             n_rounds=np.array([8, 5, 8]),
             entropy=ragged,
-            entropy_norm=ragged[::-1].copy(),
-            adaptiveness=-ragged,
-            delta_adaptiveness=ragged[:, ::-1].copy(),
+            quality_counts=counts,
             convergence_rounds=np.zeros(3, dtype=np.int64),
             productions=np.zeros((3, 9, 8), dtype=np.int64),
         )
@@ -171,24 +171,24 @@ class TestRunsBlockMatchesReference:
         assert ",-0," in text and ",4.9406564584124654e-324," in text
 
     def test_distinct_values_beyond_the_int64_key(self):
-        # 2**16 replicates, each with one value of its own in every column and
-        # both rounds. Folding the round and four 2**16-level codes spans
-        # 2 * 2**64 keys: unless the key is renumbered on the way, round 2 of
-        # a replicate wraps onto round 1 and both rows get the same tail.
-        reps = 2**16
-        values = np.repeat(np.arange(1, reps + 1)[:, None] / (reps + 1.0), 2, axis=1)
+        # One run of 2**18 rounds among 32767 agents. Its entropy repeats
+        # with a period of 2**17 rounds and its count with one of 2**15, so
+        # folding the round (2**18), the entropy code (2**17) and two count
+        # codes (2**15 each) spans 2**65 keys: unless the key is renumbered
+        # on the way, round t + 2**17 wraps onto round t and both rows get
+        # the same tail.
+        rounds, n = 2**18, 2**15 - 1
+        t = np.arange(rounds)
         batch = BatchResult(
-            point=ParameterPoint(),
-            horizon=FixedHorizon(),
-            run_seeds=np.arange(reps, dtype=np.uint64),
-            quality_owners=np.zeros(reps, dtype=np.int64),
-            n_rounds=np.full(reps, 2),
-            entropy=values,
-            entropy_norm=values,
-            adaptiveness=values,
-            delta_adaptiveness=values,
-            convergence_rounds=np.zeros(reps, dtype=np.int64),
-            productions=np.zeros((reps, 3, 1), dtype=np.int64),
+            point=ParameterPoint(n_agents=n),
+            horizon=FixedHorizon(rounds),
+            run_seeds=np.zeros(1, dtype=np.uint64),
+            quality_owners=np.zeros(1, dtype=np.int64),
+            n_rounds=np.array([rounds]),
+            entropy=((t % 2**17 + 1) / (2**17 + 1.0))[None, :],
+            quality_counts=(t % (n + 1)).astype(np.int16)[None, :],
+            convergence_rounds=np.zeros(1, dtype=np.int64),
+            productions=np.zeros((1, rounds + 1, 1), dtype=np.int16),
         )
         assert_matches_reference(batch)
 
