@@ -5,8 +5,10 @@ state is one production history and one integer code per (variant, agent)
 cell, E * S + A for the cell's ego and allo counts over the memory window,
 which slides by one round per step (S, one more than the longest window the
 run can hold, exceeds every count; the quality owner's cell carries an offset
-of S**2). The codes are variant-major, (variants, replicates * agents), with
-column i * n + a for agent a of active replicate i. What an agent heard is its
+of S**2). history is the kernel's only history: it takes one byte per id
+below 128 agents and two otherwise, and the batch stores it as it is. The
+codes are variant-major, (variants, replicates * agents), with column
+i * n + a for agent a of active replicate i. What an agent heard is its
 partner's production, read from the history through the schedule's partner
 matrix. A production probability depends only on a cell's two counts, on
 whether it is the quality owner's variant and on whether the column's window
@@ -30,7 +32,7 @@ metrics the kernel measures, and derives the others on access.
 Under an open-ended horizon the kernel steps only the replicates still
 running: one that has converged and finished the round-robin retires, and its
 columns past n_rounds hold a fixed fill (NaN, and -1 for counts and
-productions), so a replicate's row depends on its seed alone.
+history), so a replicate's row depends on its seed alone.
 
 A point's connectivity is one field: a built-in kind or a Schedule. One call,
 ParameterPoint.validate(), decides whether a point runs and returns the
@@ -60,6 +62,8 @@ from .schedule import (BUILTIN_SIZES, ConnectivityKind, Schedule, builtin_schedu
 
 DEFAULT_MAX_ROUNDS = 200
 UNBOUNDED = math.inf
+# The largest population whose ids and high-quality counts fit int16.
+_MAX_AGENTS = 2**15 - 1
 
 
 @dataclass(frozen=True)
@@ -116,13 +120,15 @@ class ParameterPoint:
         n = self.n_agents
         if not isinstance(n, Integral):
             raise InvalidParamsError(f"n_agents must be an integer, got {n!r}")
+        if n > _MAX_AGENTS:
+            raise InvalidParamsError(f"n_agents must be at most {_MAX_AGENTS}, got {n}")
         for name in ("coordination_bias", "content_sensitivity", "mutation_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InvalidParamsError(f"{name} must lie in [0, 1], got {v!r}")
         m = self.memory_window
         if m != UNBOUNDED and not (
-            isinstance(m, (int, float)) and float(m).is_integer() and m >= 1
+            isinstance(m, (Integral, float)) and float(m).is_integer() and m >= 1
         ):
             raise InvalidParamsError(
                 f"memory_window must be a positive integer or unbounded, got {m!r}"
@@ -201,13 +207,14 @@ class BatchResult:
     executed. n_rounds[r] says how many leading columns are meaningful for
     replicate r (they differ only in until-convergence mode). quality_counts
     says how many of a round's n productions are the high-quality variant.
-    The columns past n_rounds[r] are NaN in entropy and -1 in quality_counts
-    and productions (where column t is round t, so the fill starts at
-    n_rounds[r] + 1): a converged replicate is no longer stepped. productions
-    is the kernel's only history: column 0 holds each agent's seed variant,
-    and what agents heard in round t is productions[:, t] permuted by the
-    round's partners. The other metrics are read-only properties, NaN past
-    n_rounds; each access computes a whole array.
+    history is the kernel's only history, (replicates, max_rounds + 1,
+    n_agents), int8 below 128 agents and int16 otherwise: column 0 holds each
+    agent's seed variant, and what agents heard in round t is history[:, t]
+    permuted by the round's partners. The columns past n_rounds[r] are NaN in
+    entropy and -1 in quality_counts and history (where column t is round t,
+    so the fill starts at n_rounds[r] + 1): a converged replicate is no
+    longer stepped. productions and the other metrics are read-only
+    properties, NaN past n_rounds; each access computes a whole array.
     """
 
     point: ParameterPoint
@@ -218,7 +225,12 @@ class BatchResult:
     entropy: np.ndarray
     quality_counts: np.ndarray
     convergence_rounds: np.ndarray  # 0 where censored
-    productions: np.ndarray  # (replicates, max_rounds + 1, n_agents)
+    history: np.ndarray
+
+    @property
+    def productions(self) -> np.ndarray:
+        """The history as int16, whatever the population."""
+        return self.history.astype(np.int16, copy=False)
 
     @property
     def n_replicates(self) -> int:
@@ -271,9 +283,11 @@ def run_replicates(
     m = point.memory_window
     mu_floor = mu / n_variants
 
-    # History, indexed by replicate: full-size for the whole run.
-    prods = np.empty((replicates, max_rounds + 1, n), dtype=np.int16)
-    prods[:, 0, :] = np.arange(n, dtype=np.int16)
+    # History, indexed by replicate: full-size for the whole run. Its ids and
+    # the -1 fill take one byte below 128 agents.
+    hist_dtype = np.int8 if n < 128 else np.int16
+    prods = np.empty((replicates, max_rounds + 1, n), dtype=hist_dtype)
+    prods[:, 0, :] = np.arange(n, dtype=hist_dtype)
     ent = np.zeros((replicates, max_rounds))
     quality = np.zeros((replicates, max_rounds), dtype=np.int16)
     conv = np.zeros(replicates, dtype=np.int64)
@@ -294,13 +308,14 @@ def run_replicates(
     active = slice(None)
     keys = rng.production_keys_np(seeds[:, None], np.arange(n, dtype=np.uint64)).ravel()
     all_cols = np.arange(replicates * n)
+    # intp, not narrower: np.add.at is about 20 times slower on int16 or int32.
     codes = np.zeros((n_variants, replicates * n), dtype=np.intp)
     codes[np.repeat(owners, n), all_cols] = owner_code
     laid_out = 0
     # Buffers for the per-variant draw; each round slices the active columns.
     lookup_buf = np.empty(replicates * n, dtype=np.intp)
     acc_buf = np.empty(replicates * n)
-    hits_buf = np.empty(replicates * n, dtype=np.int16)
+    hits_buf = np.empty(replicates * n, dtype=hist_dtype)
     mask_buf = np.empty(replicates * n, dtype=bool)
 
     def entries(w):
@@ -399,7 +414,7 @@ def run_replicates(
     executed = t
     ent = ent[:, :executed]
     quality = quality[:, :executed]
-    productions = prods[:, : executed + 1, :]
+    history = prods[:, : executed + 1, :]
     if horizon.open_ended:
         n_rounds = np.where(conv > 0, np.maximum(conv, cycle), executed)
         # Columns past a replicate's own horizon get a fixed fill, so its row
@@ -408,7 +423,7 @@ def run_replicates(
         past = np.arange(executed) >= n_rounds[:, None]
         np.copyto(ent, np.nan, where=past)
         np.copyto(quality, -1, where=past)
-        np.copyto(productions[:, 1:, :], -1, where=past[:, :, None])
+        np.copyto(history[:, 1:, :], -1, where=past[:, :, None])
     else:
         n_rounds = np.full(replicates, executed, dtype=np.int64)
 
@@ -421,7 +436,7 @@ def run_replicates(
         entropy=ent,
         quality_counts=quality,
         convergence_rounds=conv,
-        productions=productions,
+        history=history,
     )
 
 

@@ -40,6 +40,8 @@ SUMMARY_HEADER = (
 # The per-round metrics of a BatchResult, in column order.
 ROUND_METRICS = ("entropy", "entropy_norm", "adaptiveness", "delta_adaptiveness")
 TC_METRIC = "time_to_convergence"
+# The characters CsvSweepSink encodes and writes of runs.csv at a time.
+_WRITE_SLICE = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -359,7 +361,9 @@ class CsvSweepSink:
                 f"points must arrive in order: expected {self.next_point}, "
                 f"got {point_index}"
             )
-        self._runs.write(runs_text.encode("ascii"))
+        # In slices, so that a point never holds a full-size bytes copy too.
+        for start in range(0, len(runs_text), _WRITE_SLICE):
+            self._runs.write(runs_text[start : start + _WRITE_SLICE].encode("ascii"))
         self._summary.write(summary_block(summaries).encode("ascii"))
         self._runs.flush()
         self._summary.flush()

@@ -52,16 +52,20 @@ def run_python(code):
 
 
 def batch_equals_scalar(point, replicates=3, rounds=None):
-    """Compare the vectorized batch against the agent-by-agent reference."""
+    """Compare the vectorized batch against the agent-by-agent reference;
+    return the batch."""
     horizon = FixedHorizon(rounds)
     batch = run_replicates(point, replicates, MASTER, horizon=horizon)
+    productions = batch.productions
+    assert productions.dtype == np.int16
     for r in range(replicates):
         seed = rng.seed_derive(MASTER, 0, r)
         prods, entropies, conv = scalar_run(point, seed, rounds)
-        assert np.array_equal(batch.productions[r], np.asarray(prods))
+        assert np.array_equal(productions[r], np.asarray(prods))
         assert np.array_equal(batch.entropy[r], np.asarray(entropies))
         expected_conv = 0 if conv is None else conv
         assert batch.convergence_rounds[r] == expected_conv
+    return batch
 
 
 class TestScalarAgreement:
@@ -116,6 +120,18 @@ class TestScalarAgreement:
             ),
             replicates=3,
         )
+
+    @pytest.mark.parametrize("n,history_dtype", [(126, np.int8), (128, np.int16)])
+    def test_the_history_dtype_boundary(self, n, history_dtype):
+        # Ids and the -1 fill fit one byte below 128 agents. Two matchings:
+        # even agents with the next one, then odd agents with the next one.
+        schedule = Schedule.from_pairs(n, (
+            [(a, a + 1) for a in range(0, n, 2)],
+            [(a, (a + 1) % n) for a in range(1, n, 2)],
+        ))
+        point = ParameterPoint(n_agents=n, connectivity=schedule, content_sensitivity=0.5)
+        batch = batch_equals_scalar(point)
+        assert batch.history.dtype == history_dtype
 
     def test_truncated_horizon(self):
         batch_equals_scalar(ParameterPoint(content_sensitivity=0.9), rounds=3)
@@ -427,6 +443,25 @@ class TestValidationAndShapes:
         with pytest.raises(InvalidParamsError, match=rf"^{field} must not be a bool"):
             run_replicates(point, 2, MASTER, horizon=horizon)
 
+    def test_numpy_integer_memory_window_accepted(self):
+        point = ParameterPoint(memory_window=3)
+        batch = run_replicates(ParameterPoint(memory_window=np.int64(3)), 5, MASTER)
+        expected = run_replicates(point, 5, MASTER)
+        for name in ("history", "entropy", "quality_counts", "convergence_rounds"):
+            assert getattr(batch, name).tobytes() == getattr(expected, name).tobytes()
+        assert SweepGrid(memory_levels=(np.int64(3),), replicates=2).validate()
+        with pytest.raises(InvalidParamsError, match="memory_window"):
+            ParameterPoint(memory_window=np.int64(0)).validate()
+
+    def test_a_population_past_int16_is_refused(self):
+        # A unanimous count of 32768 would store -32768, and ids past 32767
+        # would wrap in the history.
+        n = 2**15
+        matching = [(a, a + 1) for a in range(0, n, 2)]
+        point = ParameterPoint(n_agents=n, connectivity=Schedule.from_pairs(n, (matching,)))
+        with pytest.raises(InvalidParamsError, match="n_agents must be at most 32767"):
+            point.validate()
+
     def test_numpy_integer_replicates_accepted(self):
         batch = run_replicates(ParameterPoint(), np.int64(5), MASTER)
         assert batch.productions.tobytes() == run_replicates(
@@ -560,15 +595,16 @@ class TestWorkingMemory:
 
     def test_an_until_convergence_point_stays_small(self):
         # The batch stores entropy (8 bytes), the quality count (2) and the
-        # productions (16) per run-round, 5.2 MB here, and the kernel's
+        # one-byte history (8) per run-round, 3.6 MB here, and the kernel's
         # working state on top. Any one derived float64 array would cost
-        # 1.6 MB more.
+        # 1.6 MB more, and an int16 history 1.6 MB more.
         tracemalloc.start()
         try:
             batch = run_replicates(self.POINT, 1000, MASTER, horizon=UntilConvergence(200))
             held, peak = tracemalloc.get_traced_memory()
             assert batch.entropy.shape == (1000, 200)
-            assert peak <= 8e6
+            assert held <= 3.7e6
+            assert peak <= 6.0e6
             tracemalloc.reset_peak()
             summarize_batch(batch)
             assert tracemalloc.get_traced_memory()[1] - held <= 0.5e6

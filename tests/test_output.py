@@ -163,7 +163,7 @@ class TestRunsBlockMatchesReference:
             entropy=ragged,
             quality_counts=counts,
             convergence_rounds=np.zeros(3, dtype=np.int64),
-            productions=np.zeros((3, 9, 8), dtype=np.int64),
+            history=np.zeros((3, 9, 8), dtype=np.int64),
         )
         assert_matches_reference(batch)
         text = runs_block(batch)
@@ -188,7 +188,7 @@ class TestRunsBlockMatchesReference:
             entropy=((t % 2**17 + 1) / (2**17 + 1.0))[None, :],
             quality_counts=(t % (n + 1)).astype(np.int16)[None, :],
             convergence_rounds=np.zeros(1, dtype=np.int64),
-            productions=np.zeros((1, rounds + 1, 1), dtype=np.int16),
+            history=np.zeros((1, rounds + 1, 1), dtype=np.int16),
         )
         assert_matches_reference(batch)
 
