@@ -59,7 +59,7 @@ def _memory_window(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"memory window must be a positive integer or 'inf', got {text!r}"
         ) from None
-    return float(v)
+    return v
 
 
 def _positive_int(label: str):
@@ -312,7 +312,7 @@ def _grid_from_config(config: dict) -> engine.SweepGrid:
         coordination_bias_levels=tuple(float(v) for v in config["coordination_bias_levels"]),
         content_bias_levels=tuple(float(v) for v in config["content_bias_levels"]),
         memory_levels=tuple(
-            UNBOUNDED if v == "inf" else float(v) for v in config["memory_levels"]
+            UNBOUNDED if v == "inf" else v for v in config["memory_levels"]
         ),
         mutation_rate=float(config["mutation_rate"]),
         replicates=config["replicates"],

@@ -16,18 +16,18 @@ holds that variant, so each round reads it from a table whose entries take
 the scalar reference's IEEE operations (tests/scalar_model.py) in that
 reference's order. The table covers every code while S**2 is at most four
 times the number of cells, and is rebuilt only when the window's totals
-change; otherwise it covers just the codes the cells hold and is rebuilt
-each round. Either way it is at most 16 times the size of the codes, and a
-round costs in proportion to the cells. A round's draw then runs one
-variant at a time: one lookup over that variant's row, a running sum
+change; otherwise it holds one entry pair per cell, decoded from the cell's
+own code and filled each round. Either way it is at most 16 times the size of
+the codes, and a round costs in proportion to the cells. A round's draw then
+runs one variant at a time: one lookup over that variant's row, a running sum
 compared with each agent's uniform. The sum adds variants left to right, as
-the reference's cumulative sum does, and never decreases, so the last
-variant needs no comparison. The uniforms come from the same counter-based
-keys: a production uniform folds the round into its (run, agent) key last,
-so the keys are built once per point and a round costs one mix. A batched
-run is therefore bit-identical to the scalar reference loop; tests enforce
-that. A batch stores the round's entropy and high-quality count, the two
-metrics the kernel measures, and derives the others on access.
+the reference's cumulative sum does, and never decreases, so the last variant
+needs no comparison. The uniforms come from the same counter-based keys: a
+production uniform folds the round into its (run, agent) key last, so the
+keys are built once per point and a round costs one mix. A batched run is
+therefore bit-identical to the scalar reference loop; tests enforce that. A
+batch stores the round's entropy and high-quality count, the two metrics the
+kernel measures, and derives the others on access.
 
 Under an open-ended horizon the kernel steps only the replicates still
 running: one that has converged and finished the round-robin retires, and its
@@ -127,11 +127,13 @@ class ParameterPoint:
             if not 0.0 <= v <= 1.0:
                 raise InvalidParamsError(f"{name} must lie in [0, 1], got {v!r}")
         m = self.memory_window
+        # Output labels a window through float, exact up to 2**53.
         if m != UNBOUNDED and not (
-            isinstance(m, (Integral, float)) and float(m).is_integer() and m >= 1
+            isinstance(m, (Integral, float)) and 1 <= m <= 2**53 and m == int(m)
         ):
             raise InvalidParamsError(
-                f"memory_window must be a positive integer or unbounded, got {m!r}"
+                f"memory_window must be a positive integer of at most 2**53 or "
+                f"unbounded, got {m!r}"
             )
         owner = self.quality_owner
         if owner is not None and not (isinstance(owner, Integral) and 0 <= owner < n):
@@ -354,9 +356,9 @@ def run_replicates(
         # The table's entries for a window that holds the high-quality variant
         # follow the others. While S**2 is at most four times the cells, it is
         # table[flag, owner, E, A], which every code indexes and which changes
-        # only with the window's totals. Otherwise it holds only the codes the
-        # cells hold, so that its size and its cost stay in proportion to the
-        # cells, however long the window grows.
+        # only with the window's totals. Otherwise it is table[flag, cell],
+        # filled every round from each cell's code, so that its size and cost
+        # stay in proportion to the cells, however long the window grows.
         if owner_code <= 4 * codes.size:
             if (ego_total, allo_total) != built:
                 if dense is None:
@@ -368,12 +370,11 @@ def run_replicates(
                 built = ego_total, allo_total
             table, index = dense.reshape(-1), codes
         else:
-            held, index = np.unique(codes_flat, return_inverse=True)
-            owner_bit, count = np.divmod(held, owner_code)
-            table = np.empty((2, len(held)))
+            owner_bit, count = np.divmod(codes_flat, owner_code)
+            table = np.empty((2, codes.size))
             _fill_draw_table(table, owner_bit, count // S, count % S,
                              ego_total, allo_total, c, b, mu, mu_floor)
-            table, index = table.reshape(-1), index.reshape(codes.shape)
+            table, index = table.reshape(-1), np.arange(codes.size).reshape(codes.shape)
         # A column's window holds the high-quality variant unless the owner's
         # cell counts nothing.
         flag = (codes_flat[owned] != owner_code) * (len(table) // 2)

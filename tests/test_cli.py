@@ -138,6 +138,19 @@ class TestSimulate:
         assert code == 0
         assert "custom connectivity" in out
 
+    @pytest.mark.parametrize("memory", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+    def test_a_memory_window_past_2_53_is_a_usage_error(self, capsys, tmp_path, memory):
+        # Output labels a window through float: 2**53 + 1 would print as
+        # 2**53, and 10**400 has no float at all.
+        out_file = tmp_path / "runs.csv"
+        code, _, err = run_cli(
+            capsys, "simulate", "--memory", str(memory), "--out", str(out_file)
+        )
+        assert code == 2
+        assert "memory_window must be a positive integer of at most 2**53" in err
+        assert "Traceback" not in err
+        assert not out_file.exists()
+
     def test_owner_exceeding_population_rejected(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--quality-owner", "9")
         assert code == 2
@@ -390,11 +403,13 @@ class TestSweep:
         ("content_bias_levels", [-0.1], "content_sensitivity must lie in [0, 1]"),
         ("mutation_rate", float("nan"), "mutation_rate must lie in [0, 1]"),
         ("memory_levels", [0], "memory_window must be a positive integer"),
+        ("memory_levels", [2**53 + 1], "memory_window must be a positive integer of at most"),
+        ("memory_levels", [10**400], "memory_window must be a positive integer of at most"),
         ("population_sizes", [1], "population size 1 has no builtin schedule"),
         ("quality_mode", {"fixed_owner": 9}, "fixed_owner exceeds"),
         ("connectivity", ["erly"], "neither a built-in kind (early, mid, late)"),
-    ], ids=["c-1.5", "b-negative", "mu-nan", "memory-0", "agents-1", "owner-9",
-            "misspelt-kind"])
+    ], ids=["c-1.5", "b-negative", "mu-nan", "memory-0", "memory-2**53+1", "memory-10**400",
+            "agents-1", "owner-9", "misspelt-kind"])
     def test_unrunnable_config_exits_2_before_output_dir(
         self, capsys, tmp_path, key, value, message
     ):

@@ -138,9 +138,9 @@ class TestScalarAgreement:
 
     # Past the round-robin the kernel's draw table covers the widest counts.
     # With three replicates an unbounded memory leaves more codes than cells,
-    # so the table holds only the cells' codes, rebuilt every round, up to
-    # 40 * 41 + 39; a window of 5 keeps a table of every code, built for the
-    # last time at round 6.
+    # so the table holds one entry pair per cell, filled every round from
+    # codes up to 40 * 41 + 39; a window of 5 keeps a table of every code,
+    # built for the last time at round 6.
     @pytest.mark.parametrize("point,rounds", [
         (ParameterPoint(coordination_bias=0.7, content_sensitivity=0.6), 40),
         (ParameterPoint(coordination_bias=1.0, content_sensitivity=0.0), 40),
@@ -172,7 +172,11 @@ class TestPinnedBytes:
                                        content_sensitivity=1.0, mutation_rate=0.1,
                                        memory_window=1.0),
     }
-    HORIZONS = {"fixed": FixedHorizon(), "until": UntilConvergence(60)}
+    # "long" under the default's unbounded memory is past the dense table
+    # from round 1 (301**2 > 4 * 3200 cells), compacts, and converges by
+    # round 85.
+    HORIZONS = {"fixed": FixedHorizon(), "until": UntilConvergence(60),
+                "long": UntilConvergence(300)}
     DIGESTS = {
         ("default", "fixed"): "a2dddeab0d56843bb3ed2e59069149219469d8dc658c7c3e5df72924d7c4191b",
         ("default", "until"): "cee8337d91aa8c23e511e80e4e30497880300e3add7dce194844befa64cfb01d",
@@ -182,6 +186,7 @@ class TestPinnedBytes:
         ("fixed_owner", "until"): "e7a543e80588faf1f0405cf503b6c58d7197d9a68d1d8d4b3640338988f656a7",
         ("mid_window_1", "fixed"): "d2d4f19e305f1df5f174a72ee297db78634cb3d2faaed34df821db25c26ff5a8",
         ("mid_window_1", "until"): "3d8f56083e1a1eac0f93283a3bc8ac98dcdc4a096cdf9ae9cc8abb2d9acfc760",
+        ("default", "long"): "8815d1e89c426bf24fc964b4e52dce9b8a411d3eb4fcf45797377a06268b6df6",
     }
 
     # sha256 of summary_block(summarize_batch(batch)) for the same batches.
@@ -194,6 +199,7 @@ class TestPinnedBytes:
         ("fixed_owner", "until"): "2a4977c63b9b7334319f423ab7abebf8fc705e476138ddd0b959b105a45a2de0",
         ("mid_window_1", "fixed"): "007a78e65829fa9064fca0d7223de9e7689d3af77dbad46ee01f8a000022206c",
         ("mid_window_1", "until"): "59986aac98974f95da5c536026868c7b706a500a37db7dd1c5a67a832553d972",
+        ("default", "long"): "f0e8b9ef95e62e32b2b0ad66b86d4a317206d5e5320c4931ce48ea2b520baed6",
     }
 
     def batch(self, point_id, horizon_id):
@@ -290,9 +296,9 @@ class TestHorizons:
 
     def test_retiring_replicates_change_no_bits_of_the_rest(self):
         # With 8 replicates and a cap of 40 the draw table covers every code;
-        # once a quarter of them retire, after round 10, it covers only the
-        # codes the cells hold. Each run's rows match those of the run kept to
-        # the cap, whose table covers every code throughout.
+        # once a quarter of them retire, after round 10, it holds one entry
+        # pair per cell. Each run's rows match those of the run kept to the
+        # cap, whose table covers every code throughout.
         point = ParameterPoint(coordination_bias=0.5, content_sensitivity=0.5)
         fixed = run_replicates(point, 8, MASTER, horizon=FixedHorizon(40))
         open_ended = run_replicates(point, 8, MASTER, horizon=UntilConvergence(40))
@@ -452,6 +458,16 @@ class TestValidationAndShapes:
         assert SweepGrid(memory_levels=(np.int64(3),), replicates=2).validate()
         with pytest.raises(InvalidParamsError, match="memory_window"):
             ParameterPoint(memory_window=np.int64(0)).validate()
+
+    @pytest.mark.parametrize("m", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+    def test_a_memory_window_past_2_53_is_refused(self, m):
+        # Output labels a window through float, exact up to 2**53; 10**400
+        # has no float at all.
+        assert ParameterPoint(memory_window=2**53).validate()
+        with pytest.raises(InvalidParamsError, match=r"memory_window .* at most 2\*\*53"):
+            ParameterPoint(memory_window=m).validate()
+        with pytest.raises(InvalidParamsError, match=r"memory_window .* at most 2\*\*53"):
+            SweepGrid(memory_levels=(m,), replicates=2).validate()
 
     def test_a_population_past_int16_is_refused(self):
         # A unanimous count of 32768 would store -32768, and ids past 32767
