@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 
 from . import __version__, engine, output, plotting
 from .engine import UNBOUNDED
@@ -452,6 +453,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenExecutor:
+        print("error: a worker process died; --resume continues", file=sys.stderr)
         return 1
 
 

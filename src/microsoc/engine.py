@@ -12,22 +12,21 @@ i * n + a for agent a of active replicate i. What an agent heard is its
 partner's production, read from the history through the schedule's partner
 matrix. A production probability depends only on a cell's two counts, on
 whether it is the quality owner's variant and on whether the column's window
-holds that variant, so each round reads it from a table whose entries take
-the scalar reference's IEEE operations (tests/scalar_model.py) in that
-reference's order. The table covers every code while S**2 is at most four
-times the number of cells, and is rebuilt only when the window's totals
-change; otherwise it holds one entry pair per cell, decoded from the cell's
-own code and filled each round. Either way it is at most 16 times the size of
-the codes, and a round costs in proportion to the cells. A round's draw then
-runs one variant at a time: one lookup over that variant's row, a running sum
-compared with each agent's uniform. The sum adds variants left to right, as
-the reference's cumulative sum does, and never decreases, so the last variant
-needs no comparison. The uniforms come from the same counter-based keys: a
-production uniform folds the round into its (run, agent) key last, so the
-keys are built once per point and a round costs one mix. A batched run is
-therefore bit-identical to the scalar reference loop; tests enforce that. A
-batch stores the round's entropy and high-quality count, the two metrics the
-kernel measures, and derives the others on access.
+holds that variant. _pooled_frequency and _production_probability compute it
+with the scalar reference's IEEE operations (tests/scalar_model.py) in that
+reference's order. While S**2 is at most four times the number of cells, a
+round looks it up in a table of every code, rebuilt only when the window's
+totals change; otherwise it computes it from each cell's own code. Either way
+a round costs in proportion to the cells. A round's draw then runs one variant at a time: a running sum
+over that variant's probabilities, compared with each agent's uniform. The
+sum adds variants left to right, as the reference's cumulative sum does, and
+never decreases, so the last variant needs no comparison. The uniforms come
+from the same counter-based keys: a production uniform folds the round into
+its (run, agent) key last, so the keys are built once per point and a round
+costs one mix. A batched run is therefore bit-identical to the scalar
+reference loop; tests enforce that. A batch stores the round's entropy and
+high-quality count, the two metrics the kernel measures, and derives the
+others on access.
 
 Under an open-ended horizon the kernel steps only the replicates still
 running: one that has converged and finished the round-robin retires, and its
@@ -50,7 +49,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
-from numbers import Integral
+from numbers import Integral, Real
 from typing import ClassVar
 
 import numpy as np
@@ -124,7 +123,7 @@ class ParameterPoint:
             raise InvalidParamsError(f"n_agents must be at most {_MAX_AGENTS}, got {n}")
         for name in ("coordination_bias", "content_sensitivity", "mutation_rate"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if isinstance(v, bool) or not (isinstance(v, Real) and 0.0 <= v <= 1.0):
                 raise InvalidParamsError(f"{name} must lie in [0, 1], got {v!r}")
         m = self.memory_window
         # Output labels a window through float, exact up to 2**53.
@@ -182,23 +181,25 @@ def horizon_rounds(horizon: Horizon, cycle: int) -> int:
     return rounds
 
 
-def _fill_draw_table(out, owner, ego, allo, ego_total, allo_total, c, b, mu, mu_floor):
-    """Set out[flag] to the probability of a variant that the agent's window
-    counts ego times among its own productions and allo times among what it
-    heard, for each entry of the broadcast (owner, ego, allo). owner is 1
-    where the variant is the high-quality one, flag 1 where the window holds
-    that variant.
-
-    Each entry takes the scalar reference's IEEE operations in its order, so
-    a lookup gives the bits the agent-by-agent rule would. Content bias adds
-    beta * owner: beta * 0 == +0.0, which changes no bit.
-    """
+def _pooled_frequency(ego, allo, ego_total, allo_total, c):
+    """The frequency of a variant that the agent's window counts ego times
+    among its own productions and allo times among what it heard."""
     pooled = ego / ego_total
     if allo_total != 0:
         # An empty allo partition hands its weight c to the ego side.
         pooled = (1.0 - c) * pooled + c * (allo / allo_total)
-    for flag, beta in enumerate((0.0, b)):
-        out[flag] = (1.0 - mu) * ((1.0 - beta) * pooled + beta * owner) + mu_floor
+    return pooled
+
+
+def _production_probability(owner, pooled, beta, mu, mu_floor):
+    """The probability of a variant, for each entry of the broadcast (owner,
+    pooled, beta): owner is 1 for the high-quality variant, and beta the
+    content bias where the window holds that variant, 0 elsewhere. With
+    _pooled_frequency, each entry takes the scalar reference's IEEE operations
+    in its order, so it gives the agent-by-agent rule's bits. Content bias
+    adds beta * owner: beta * 0 == +0.0, which changes no bit.
+    """
+    return (1.0 - mu) * ((1.0 - beta) * pooled + beta * owner) + mu_floor
 
 
 @dataclass
@@ -315,7 +316,6 @@ def run_replicates(
     codes[np.repeat(owners, n), all_cols] = owner_code
     laid_out = 0
     # Buffers for the per-variant draw; each round slices the active columns.
-    lookup_buf = np.empty(replicates * n, dtype=np.intp)
     acc_buf = np.empty(replicates * n)
     hits_buf = np.empty(replicates * n, dtype=hist_dtype)
     mask_buf = np.empty(replicates * n, dtype=bool)
@@ -353,39 +353,37 @@ def run_replicates(
             np.subtract.at(codes_flat, ego_out, S)
             np.subtract.at(codes_flat, allo_out, 1)
 
-        # The table's entries for a window that holds the high-quality variant
-        # follow the others. While S**2 is at most four times the cells, it is
-        # table[flag, owner, E, A], which every code indexes and which changes
-        # only with the window's totals. Otherwise it is table[flag, cell],
-        # filled every round from each cell's code, so that its size and cost
-        # stay in proportion to the cells, however long the window grows.
+        # A column's window holds the high-quality variant unless the owner's
+        # cell counts nothing. While S**2 is at most four times the cells, the
+        # probabilities come from dense[holds, owner, E, A], which every code
+        # indexes and which changes only with the window's totals; otherwise
+        # from each cell's own code, so that a round costs in proportion to
+        # the cells, however long the window grows.
+        holds = codes_flat[owned] != owner_code
         if owner_code <= 4 * codes.size:
             if (ego_total, allo_total) != built:
                 if dense is None:
                     dense = np.empty((2, 2, S, S))
-                _fill_draw_table(
-                    dense[:, :, : ego_total + 1, : allo_total + 1], np.arange(2)[:, None, None],
-                    np.arange(ego_total + 1)[:, None], np.arange(allo_total + 1),
-                    ego_total, allo_total, c, b, mu, mu_floor)
+                pooled = _pooled_frequency(np.arange(ego_total + 1)[:, None],
+                                           np.arange(allo_total + 1), ego_total, allo_total, c)
+                # One beta at a time: both at once double the temporaries.
+                for flag, beta in enumerate((0.0, b)):
+                    dense[flag, :, : ego_total + 1, : allo_total + 1] = _production_probability(
+                        np.arange(2)[:, None, None], pooled, beta, mu, mu_floor)
                 built = ego_total, allo_total
-            table, index = dense.reshape(-1), codes
+            table, offset = dense.reshape(-1), holds * (2 * owner_code)
+            probs = (table[row + offset] for row in codes[:-1])
         else:
-            owner_bit, count = np.divmod(codes_flat, owner_code)
-            table = np.empty((2, codes.size))
-            _fill_draw_table(table, owner_bit, count // S, count % S,
-                             ego_total, allo_total, c, b, mu, mu_floor)
-            table, index = table.reshape(-1), np.arange(codes.size).reshape(codes.shape)
-        # A column's window holds the high-quality variant unless the owner's
-        # cell counts nothing.
-        flag = (codes_flat[owned] != owner_code) * (len(table) // 2)
+            owner_bit, count = np.divmod(codes[:-1], owner_code)
+            probs = _production_probability(
+                owner_bit, _pooled_frequency(count // S, count % S, ego_total, allo_total, c),
+                holds * b, mu, mu_floor)
         u = rng.production_uniform_np(keys, t)
-        lookup, acc = lookup_buf[:kn], acc_buf[:kn]
-        hits, mask = hits_buf[:kn], mask_buf[:kn]
+        acc, hits, mask = acc_buf[:kn], hits_buf[:kn], mask_buf[:kn]
         acc[:] = hits[:] = 0
         # The reference's cumulative order; the last variant needs no sum.
-        for x in range(n_variants - 1):
-            np.add(index[x], flag, out=lookup)
-            np.add(acc, table[lookup], out=acc)
+        for p in probs:
+            np.add(acc, p, out=acc)
             np.less_equal(acc, u, out=mask)
             np.add(hits, mask, out=hits)
         idx = hits.reshape(k, n)
@@ -536,6 +534,8 @@ def sweep(
             (i, points[i], master_seed, grid.replicates, horizon, sink.wants_runs())
             for i in range(start, len(points))
         ]
+        # A pool forks all its workers at its first task: no more than points left.
+        workers = min(workers, len(todo))
         if workers > 1:
             # Imported here, so that a serial sweep does not load multiprocessing.
             from concurrent.futures import ProcessPoolExecutor

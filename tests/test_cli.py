@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +68,17 @@ def fail_write_at(monkeypatch, point_index):
         original(self, index, runs_text, summaries)
 
     monkeypatch.setattr(CsvSweepSink, "write_point", write_point)
+
+
+_sweep_point = engine._sweep_point
+
+
+def die_at_point_3(args):
+    """A sweep point body whose worker process is killed on point 3. It is a
+    module-level function, so that a pool can pickle it."""
+    if args[0] == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _sweep_point(args)
 
 
 class TestSimulate:
@@ -457,6 +469,26 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", str(broken), "--resume", "--threads", "1")
         assert code == 0
         assert "resuming at point 4/8" in out
+        for name in ("runs.csv", "summary.csv"):
+            assert (tmp_path / "broken" / "out" / name).read_bytes() == (
+                tmp_path / "clean" / "out" / name
+            ).read_bytes()
+
+    def test_a_dead_worker_exits_1_in_one_line_and_resume_completes(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        (tmp_path / "clean").mkdir()
+        (tmp_path / "broken").mkdir()
+        clean = small_config(tmp_path / "clean")
+        broken = small_config(tmp_path / "broken")
+        assert run_cli(capsys, "sweep", str(clean), "--threads", "1")[0] == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_sweep_point", die_at_point_3)
+            code, _, err = run_cli(capsys, "sweep", str(broken), "--threads", "2")
+        assert code == 1
+        assert err == "error: a worker process died; --resume continues\n"
+        code, _, _ = run_cli(capsys, "sweep", str(broken), "--resume", "--threads", "2")
+        assert code == 0
         for name in ("runs.csv", "summary.csv"):
             assert (tmp_path / "broken" / "out" / name).read_bytes() == (
                 tmp_path / "clean" / "out" / name

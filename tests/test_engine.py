@@ -136,11 +136,11 @@ class TestScalarAgreement:
     def test_truncated_horizon(self):
         batch_equals_scalar(ParameterPoint(content_sensitivity=0.9), rounds=3)
 
-    # Past the round-robin the kernel's draw table covers the widest counts.
+    # Past the round-robin the kernel's probabilities cover the widest counts.
     # With three replicates an unbounded memory leaves more codes than cells,
-    # so the table holds one entry pair per cell, filled every round from
-    # codes up to 40 * 41 + 39; a window of 5 keeps a table of every code,
-    # built for the last time at round 6.
+    # so each round computes them from each cell's own code, for codes up to
+    # 40 * 41 + 39; a window of 5 keeps a table of every code, built for the
+    # last time at round 6.
     @pytest.mark.parametrize("point,rounds", [
         (ParameterPoint(coordination_bias=0.7, content_sensitivity=0.6), 40),
         (ParameterPoint(coordination_bias=1.0, content_sensitivity=0.0), 40),
@@ -284,7 +284,7 @@ class TestHorizons:
         assert np.array_equal(fixed.entropy, open_ended.entropy[:, :7])
 
     def test_a_far_cap_changes_nothing_before_convergence(self):
-        # Under unbounded memory the kernel's table is sized by its cells, not
+        # Under unbounded memory the kernel's work is sized by its cells, not
         # by the cap, so a cap of 100000 costs what a cap of 200 does.
         point = ParameterPoint(content_sensitivity=1.0, mutation_rate=0.0, quality_owner=0)
         near = run_replicates(point, 4, MASTER, horizon=UntilConvergence(200))
@@ -296,9 +296,10 @@ class TestHorizons:
 
     def test_retiring_replicates_change_no_bits_of_the_rest(self):
         # With 8 replicates and a cap of 40 the draw table covers every code;
-        # once a quarter of them retire, after round 10, it holds one entry
-        # pair per cell. Each run's rows match those of the run kept to the
-        # cap, whose table covers every code throughout.
+        # once a quarter of them retire, after round 10, each round computes
+        # the probabilities from each cell's own code. Each run's rows match
+        # those of the run kept to the cap, whose table covers every code
+        # throughout.
         point = ParameterPoint(coordination_bias=0.5, content_sensitivity=0.5)
         fixed = run_replicates(point, 8, MASTER, horizon=FixedHorizon(40))
         open_ended = run_replicates(point, 8, MASTER, horizon=UntilConvergence(40))
@@ -488,7 +489,7 @@ class TestValidationAndShapes:
         *(
             (name, value)
             for name in ("coordination_bias", "content_sensitivity", "mutation_rate")
-            for value in (-0.1, 1.5, math.nan)
+            for value in (-0.1, 1.5, math.nan, True, "0.5", None)
         ),
         *(("memory_window", value) for value in (0, 2.5, -math.inf, math.nan)),
     ])
@@ -627,6 +628,21 @@ class TestWorkingMemory:
         finally:
             tracemalloc.stop()
 
+    def test_a_wide_round_stays_small(self):
+        # Unbounded memory at 400 rounds is past the dense table from round 1
+        # (401**2 > 4 * 19200 cells): each round computes the probabilities
+        # of its cells' codes, about 1.6 MB of working memory on top of the
+        # batch.
+        run_replicates(ParameterPoint(), 2, MASTER, horizon=FixedHorizon(5))
+        tracemalloc.start()
+        try:
+            batch = run_replicates(ParameterPoint(), 300, MASTER, horizon=FixedHorizon(400))
+            held, peak = tracemalloc.get_traced_memory()
+            assert batch.entropy.shape == (300, 400)
+            assert peak - held <= 1.8e6
+        finally:
+            tracemalloc.stop()
+
 
 class TestSweepGrid:
     def test_default_grid_size(self):
@@ -705,6 +721,42 @@ class TestSweepGrid:
         sweep(grid, MASTER, sink, workers=1)
         assert calls == grid.points()
         assert len(sink.summaries) == 2 * 4 * 7
+
+    def test_a_sweep_starts_no_more_workers_than_points_left(self, monkeypatch):
+        # A recording stand-in for the pool: it starts no process.
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        import concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        grid = SweepGrid(
+            coordination_bias_levels=(0.5,),
+            content_bias_levels=(0.0, 0.5, 1.0),
+            memory_levels=(3.0,),
+            connectivity=(ConnectivityKind.EARLY,),
+            replicates=2,
+        )
+        sweep(grid, MASTER, MemorySink(), workers=8)
+        assert started == [3]
+        for left in (1, 0):
+            sink = MemorySink()
+            sink.start_index = lambda n_points: n_points - left
+            sweep(grid, MASTER, sink, workers=8)
+            assert started == [3], left
+            assert len(sink.summaries) == left * 4 * 7
+            assert sink.finalized
 
     def test_importing_the_package_loads_no_process_pool(self):
         # Only a sweep with workers > 1 imports the pool.
