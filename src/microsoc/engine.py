@@ -6,9 +6,10 @@ cell, E * S + A for the cell's ego and allo counts over the memory window,
 which slides by one round per step (S, one more than the longest window the
 run can hold, exceeds every count; the quality owner's cell carries an offset
 of S**2). history is the kernel's only history: it takes one byte per id
-below 128 agents and two otherwise, and the batch stores it as it is. The
-codes are variant-major, (variants, replicates * agents), with column
-i * n + a for agent a of active replicate i. What an agent heard is its
+below 128 agents and two otherwise, as do the high-quality counts, and the
+batch stores both as they are. The codes are variant-major, (variants,
+replicates * agents), with column i * n + a for agent a of active replicate
+i. What an agent heard is its
 partner's production, read from the history through the schedule's partner
 matrix. A production probability depends only on a cell's two counts, on
 whether it is the quality owner's variant and on whether the column's window
@@ -31,7 +32,9 @@ others on access.
 Under an open-ended horizon the kernel steps only the replicates still
 running: one that has converged and finished the round-robin retires, and its
 columns past n_rounds hold a fixed fill (NaN, and -1 for counts and
-history), so a replicate's row depends on its seed alone.
+history), so a replicate's row depends on its seed alone. Retiring moves the
+kept codes and keys to the front of the arrays they were in, so the point
+allocates its codes once.
 
 A point's connectivity is one field: a built-in kind or a Schedule. One call,
 ParameterPoint.validate(), decides whether a point runs and returns the
@@ -46,6 +49,8 @@ independent of worker count and lets an interrupted sweep resume exactly.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import product
@@ -61,7 +66,8 @@ from .schedule import (BUILTIN_SIZES, ConnectivityKind, Schedule, builtin_schedu
 
 DEFAULT_MAX_ROUNDS = 200
 UNBOUNDED = math.inf
-# The largest population whose ids and high-quality counts fit int16.
+# The largest population whose ids and high-quality counts fit int16; below
+# 128 agents they fit int8.
 _MAX_AGENTS = 2**15 - 1
 
 
@@ -209,9 +215,10 @@ class BatchResult:
     Rows of the metric arrays are replicates; columns are rounds 1..max
     executed. n_rounds[r] says how many leading columns are meaningful for
     replicate r (they differ only in until-convergence mode). quality_counts
-    says how many of a round's n productions are the high-quality variant.
-    history is the kernel's only history, (replicates, max_rounds + 1,
-    n_agents), int8 below 128 agents and int16 otherwise: column 0 holds each
+    says how many of a round's n productions are the high-quality variant;
+    it has the history's dtype. history is the kernel's only history,
+    (replicates, max_rounds + 1, n_agents), int8 below 128 agents and int16
+    otherwise: column 0 holds each
     agent's seed variant, and what agents heard in round t is history[:, t]
     permuted by the round's partners. The columns past n_rounds[r] are NaN in
     entropy and -1 in quality_counts and history (where column t is round t,
@@ -286,13 +293,13 @@ def run_replicates(
     m = point.memory_window
     mu_floor = mu / n_variants
 
-    # History, indexed by replicate: full-size for the whole run. Its ids and
-    # the -1 fill take one byte below 128 agents.
+    # History, indexed by replicate: full-size for the whole run. Its ids, the
+    # high-quality counts and the -1 fill take one byte below 128 agents.
     hist_dtype = np.int8 if n < 128 else np.int16
     prods = np.empty((replicates, max_rounds + 1, n), dtype=hist_dtype)
     prods[:, 0, :] = np.arange(n, dtype=hist_dtype)
     ent = np.zeros((replicates, max_rounds))
-    quality = np.zeros((replicates, max_rounds), dtype=np.int16)
+    quality = np.zeros((replicates, max_rounds), dtype=hist_dtype)
     conv = np.zeros(replicates, dtype=np.int64)
     # What a count adds to a round's entropy: the pool always holds n.
     term_table = metrics.count_terms(np.arange(n + 1), n)
@@ -306,13 +313,16 @@ def run_replicates(
     # Working state of the active set: its row i belongs to replicate rows[i],
     # and column i * n + a to that replicate's agent a, so that variant x of
     # column j is element x * k * n + j of a flat view. `active` indexes the
-    # history with a basic slice while the set is whole.
+    # history with a basic slice while the set is whole. keys and codes view
+    # the fronts of the point's two buffers, which compaction reuses.
     rows = np.arange(replicates)
     active = slice(None)
-    keys = rng.production_keys_np(seeds[:, None], np.arange(n, dtype=np.uint64)).ravel()
+    keys = keys_buf = rng.production_keys_np(seeds[:, None],
+                                             np.arange(n, dtype=np.uint64)).ravel()
     all_cols = np.arange(replicates * n)
     # intp, not narrower: np.add.at is about 20 times slower on int16 or int32.
-    codes = np.zeros((n_variants, replicates * n), dtype=np.intp)
+    codes_buf = np.zeros(n_variants * replicates * n, dtype=np.intp)
+    codes = codes_buf.reshape(n_variants, -1)
     codes[np.repeat(owners, n), all_cols] = owner_code
     laid_out = 0
     # Buffers for the per-variant draw; each round slices the active columns.
@@ -320,46 +330,36 @@ def run_replicates(
     hits_buf = np.empty(replicates * n, dtype=hist_dtype)
     mask_buf = np.empty(replicates * n, dtype=bool)
 
-    def entries(w):
-        """Flat code indices of round w's ego and allo entries. What an agent
-        heard in round w >= 1 is its partner's production then; round 0 has
-        no allo entries."""
-        produced = prods[active, w].astype(np.intp) * kn
-        if w == 0:
-            return produced.ravel() + cols, cols[:0]
-        heard = produced[:, partners[(w - 1) % cycle]]
-        return produced.ravel() + cols, heard.ravel() + cols
+    # A round is three steps, each a function so that its temporaries are
+    # freed before the next step allocates its own.
+    def slide(t):
+        """Slide every column's window by one round: round t - 1 enters and
+        round t - 1 - m leaves, so it holds rounds max(0, t - m) .. t - 1.
+        What an agent heard in round w >= 1 is its partner's production then;
+        round 0 has no allo entries."""
+        codes_flat = codes.reshape(-1)
+        for w, step in ((t - 1, 1), (t - 1 - m, -1)):
+            if w >= 0:
+                w = int(w)
+                produced = prods[active, w].astype(np.intp) * kn
+                np.add.at(codes_flat, produced.ravel() + cols, step * S)
+                if w > 0:
+                    heard = produced[:, partners[(w - 1) % cycle]]
+                    np.add.at(codes_flat, heard.ravel() + cols, step)
 
-    for t in range(1, max_rounds + 1):
-        k = len(rows)
-        kn = k * n
-        if k != laid_out:  # the first round, or the set was just compacted
-            laid_out, cols, act_owners = k, all_cols[:kn], owners[rows]
-            # Where each column's high-quality variant sits in the flat
-            # codes, and each replicate's variants in the flat pool counts.
-            owned = np.repeat(act_owners, n) * kn + cols
-            pool_base = all_cols[:k, None] * n_variants
-            owner_pool = pool_base[:, 0] + act_owners
+    def draw(t):
+        """Round t's productions, (k, n): each column draws from its cells'
+        probabilities with its uniform."""
+        nonlocal dense, built
         ego_total = int(min(t, m))
         allo_total = ego_total - 1 if t <= m else ego_total
-        codes_flat = codes.reshape(-1)
-        # The window holds rounds max(0, t - m) .. t - 1, so it slides by one:
-        # round t - 1 enters and round t - 1 - m leaves.
-        ego_in, allo_in = entries(t - 1)
-        np.add.at(codes_flat, ego_in, S)
-        np.add.at(codes_flat, allo_in, 1)
-        if t - 1 - m >= 0:
-            ego_out, allo_out = entries(int(t - 1 - m))
-            np.subtract.at(codes_flat, ego_out, S)
-            np.subtract.at(codes_flat, allo_out, 1)
-
         # A column's window holds the high-quality variant unless the owner's
         # cell counts nothing. While S**2 is at most four times the cells, the
         # probabilities come from dense[holds, owner, E, A], which every code
         # indexes and which changes only with the window's totals; otherwise
         # from each cell's own code, so that a round costs in proportion to
         # the cells, however long the window grows.
-        holds = codes_flat[owned] != owner_code
+        holds = codes.reshape(-1)[owned] != owner_code
         if owner_code <= 4 * codes.size:
             if (ego_total, allo_total) != built:
                 if dense is None:
@@ -386,14 +386,29 @@ def run_replicates(
             np.add(acc, p, out=acc)
             np.less_equal(acc, u, out=mask)
             np.add(hits, mask, out=hits)
-        idx = hits.reshape(k, n)
-        prods[active, t, :] = idx
+        return hits.reshape(k, n)
 
+    def measure(t, idx):
+        """Store round t's productions idx and the metrics of its pools."""
+        prods[active, t, :] = idx
         pool_counts = np.bincount((pool_base + idx).ravel(), minlength=k * n_variants)
         h = metrics.entropy_from_terms(term_table[pool_counts.reshape(k, n_variants)])
         ent[active, t - 1] = h
         quality[active, t - 1] = pool_counts[owner_pool]
         conv[rows[(conv[active] == 0) & (h == 0.0)]] = t
+
+    for t in range(1, max_rounds + 1):
+        k = len(rows)
+        kn = k * n
+        if k != laid_out:  # the first round, or the set was just compacted
+            laid_out, cols, act_owners = k, all_cols[:kn], owners[rows]
+            # Where each column's high-quality variant sits in the flat
+            # codes, and each replicate's variants in the flat pool counts.
+            owned = np.repeat(act_owners, n) * kn + cols
+            pool_base = all_cols[:k, None] * n_variants
+            owner_pool = pool_base[:, 0] + act_owners
+        slide(t)
+        measure(t, draw(t))
 
         if horizon.open_ended and t >= cycle:
             # A converged replicate's n_rounds is final from here on, so it
@@ -405,10 +420,18 @@ def run_replicates(
             if kept == 0:
                 break
             if 4 * (k - kept) >= k:
+                # Compact in place: variant row x of the kept columns moves to
+                # [x * kept_n, (x + 1) * kept_n) of the buffer, at or before
+                # where it was. Moving the rows first to last, each from a
+                # copy, overwrites only rows already moved.
                 keep_cols = np.repeat(keep, n)
                 rows = active = rows[keep]
-                keys = keys.compress(keep_cols)
-                codes = codes.compress(keep_cols, axis=1)
+                kept_n = kept * n
+                keys_buf[:kept_n] = keys.compress(keep_cols)
+                keys = keys_buf[:kept_n]
+                for x in range(n_variants):
+                    codes_buf[x * kept_n:(x + 1) * kept_n] = codes[x].compress(keep_cols)
+                codes = codes_buf[: n_variants * kept_n].reshape(n_variants, kept_n)
 
     executed = t
     ent = ent[:, :executed]
@@ -506,6 +529,27 @@ def _sweep_point(args) -> tuple[int, "object"]:
     return point_index, (runs_text, summaries)
 
 
+def _end_with_parent(parent_pid: int) -> None:
+    """Pool initializer: end this worker when the sweep's process ends.
+
+    A worker left without its parent would wait on the pool's call queue for
+    good: it holds the queue's write end itself, so it never reads EOF. On
+    Linux the kernel kills the worker when the thread that forked it ends,
+    which is the sweep's calling thread, since a forking pool starts every
+    worker at its first submit. A parent gone before this call is caught by
+    its pid. Without prctl, a worker outlives a killed parent.
+    """
+    if sys.platform.startswith("linux"):
+        import ctypes
+        import signal
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+        prctl.restype = ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG, from linux/prctl.h
+        if os.getppid() != parent_pid:
+            os._exit(1)
+
+
 def sweep(
     grid: SweepGrid,
     master_seed: int,
@@ -539,7 +583,12 @@ def sweep(
         if workers > 1:
             # Imported here, so that a serial sweep does not load multiprocessing.
             from concurrent.futures import ProcessPoolExecutor
-            pooling = ProcessPoolExecutor(workers)
+            from multiprocessing import get_context
+            # Fork on Linux, its default before Python 3.14, so that each
+            # worker's parent is this process (_end_with_parent).
+            context = get_context("fork") if sys.platform.startswith("linux") else None
+            pooling = ProcessPoolExecutor(workers, context, initializer=_end_with_parent,
+                                          initargs=(os.getpid(),))
         else:
             pooling = nullcontext()
         with pooling as pool:

@@ -44,7 +44,7 @@ TC_METRIC = "time_to_convergence"
 _WRITE_SLICE = 64 * 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SummaryRecord:
     """One row of summary.csv; round_no is 0 for the time_to_convergence row."""
 

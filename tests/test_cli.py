@@ -9,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -630,17 +631,23 @@ class TestSweep:
         assert DEFAULT_CONFIG["mutation_rate"] == 0.02
 
 
+def cli_command(*argv, **env):
+    """The command line and environment that run the CLI of this checkout in
+    a fresh interpreter."""
+    path = [str(Path(microsoc.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return [sys.executable, "-m", "microsoc.cli", *argv], env
+
+
 def run_into_closed_pipe(*argv, unbuffered=""):
     """Run the CLI in a fresh interpreter whose stdout is a pipe with no
     reader: the read end is closed before the program starts."""
-    path = [str(Path(microsoc.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
-               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    command, env = cli_command(*argv, PYTHONUNBUFFERED=unbuffered)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "microsoc.cli", *argv], env=env,
-                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+        proc = subprocess.run(command, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                              timeout=120)
     finally:
         os.close(write_end)
     return proc.returncode, proc.stderr.decode()
@@ -671,6 +678,40 @@ class TestClosedStdout:
             assert (tmp_path / "piped" / "out" / name).read_bytes() == (
                 tmp_path / "clean" / "out" / name
             ).read_bytes()
+
+
+class TestKilledSweep:
+    @pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+    def test_pool_workers_end_with_the_sweep(self, tmp_path, sig):
+        # Drift points step to their cap, so the sweep is still running when
+        # its first point is reported. The signal goes to the parent alone;
+        # its session's process group then holds only the two workers.
+        config = small_config(tmp_path, coordination_bias_levels=[1.0],
+                              content_bias_levels=[0.0, 0.1], memory_levels=[3, 5],
+                              connectivity=["early", "mid", "late"], replicates=300,
+                              horizon_mode="until_convergence")
+        command, env = cli_command("sweep", str(config), "--threads", "2")
+        proc = subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, text=True, start_new_session=True)
+        try:
+            assert proc.stdout.readline().startswith("completed 1/12 points")
+            proc.send_signal(sig)
+            proc.wait(timeout=5)
+            deadline = time.monotonic() + 5
+            while True:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a pool worker outlived its sweep"
+                time.sleep(0.05)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=5)
+            proc.stdout.close()
 
 
 class TestPlot:

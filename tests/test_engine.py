@@ -51,21 +51,39 @@ def run_python(code):
                           capture_output=True, text=True, timeout=120).stdout
 
 
-def batch_equals_scalar(point, replicates=3, rounds=None):
-    """Compare the vectorized batch against the agent-by-agent reference;
-    return the batch."""
-    horizon = FixedHorizon(rounds)
+def batch_equals_scalar(point, replicates=3, horizon=FixedHorizon()):
+    """Compare the vectorized batch against the agent-by-agent reference, each
+    run up to its own horizon; return the batch."""
     batch = run_replicates(point, replicates, MASTER, horizon=horizon)
+    cycle = point.validate().n_rounds
+    rounds = engine.horizon_rounds(horizon, cycle)
     productions = batch.productions
     assert productions.dtype == np.int16
     for r in range(replicates):
         seed = rng.seed_derive(MASTER, 0, r)
         prods, entropies, conv = scalar_run(point, seed, rounds)
-        assert np.array_equal(productions[r], np.asarray(prods))
-        assert np.array_equal(batch.entropy[r], np.asarray(entropies))
-        expected_conv = 0 if conv is None else conv
-        assert batch.convergence_rounds[r] == expected_conv
+        n = max(conv, cycle) if horizon.open_ended and conv else rounds
+        assert batch.n_rounds[r] == n
+        assert np.array_equal(productions[r, : n + 1], np.asarray(prods[: n + 1]))
+        assert np.array_equal(batch.entropy[r, :n], np.asarray(entropies[:n]))
+        assert batch.convergence_rounds[r] == (conv or 0)
     return batch
+
+
+def compactions(batch):
+    """How often the kernel compacted the batch's active set, from its
+    convergence rounds: after each round from the cycle's last on, once a
+    quarter of the set has converged, the set drops those replicates."""
+    left = batch.convergence_rounds
+    count = 0
+    for t in range(batch.point.validate().n_rounds, batch.entropy.shape[1] + 1):
+        done = (left > 0) & (left <= t)
+        if done.all():
+            break
+        if 4 * np.count_nonzero(done) >= len(left):
+            count += 1
+            left = left[~done]
+    return count
 
 
 class TestScalarAgreement:
@@ -123,7 +141,8 @@ class TestScalarAgreement:
 
     @pytest.mark.parametrize("n,history_dtype", [(126, np.int8), (128, np.int16)])
     def test_the_history_dtype_boundary(self, n, history_dtype):
-        # Ids and the -1 fill fit one byte below 128 agents. Two matchings:
+        # Ids, high-quality counts and the -1 fill fit one byte below 128
+        # agents. Two matchings:
         # even agents with the next one, then odd agents with the next one.
         schedule = Schedule.from_pairs(n, (
             [(a, a + 1) for a in range(0, n, 2)],
@@ -132,9 +151,10 @@ class TestScalarAgreement:
         point = ParameterPoint(n_agents=n, connectivity=schedule, content_sensitivity=0.5)
         batch = batch_equals_scalar(point)
         assert batch.history.dtype == history_dtype
+        assert batch.quality_counts.dtype == history_dtype
 
     def test_truncated_horizon(self):
-        batch_equals_scalar(ParameterPoint(content_sensitivity=0.9), rounds=3)
+        batch_equals_scalar(ParameterPoint(content_sensitivity=0.9), horizon=FixedHorizon(3))
 
     # Past the round-robin the kernel's probabilities cover the widest counts.
     # With three replicates an unbounded memory leaves more codes than cells,
@@ -148,7 +168,7 @@ class TestScalarAgreement:
                         memory_window=5.0), 20),
     ], ids=["unbounded", "unbounded_drift", "window_5"])
     def test_past_the_round_robin(self, point, rounds):
-        batch_equals_scalar(point, rounds=rounds)
+        batch_equals_scalar(point, horizon=FixedHorizon(rounds))
 
 
 class TestPinnedBytes:
@@ -378,20 +398,17 @@ class TestActiveSet:
         ),
     ], ids=["drift", "content_bias"])
     def test_retired_and_censored_replicates_match_scalar(self, point):
-        batch = run_replicates(point, 30, MASTER, horizon=self.HORIZON)
-        cycle = point.validate().n_rounds
-        conv = batch.convergence_rounds
+        conv = batch_equals_scalar(point, 30, self.HORIZON).convergence_rounds
         assert (conv == 0).any()
         assert len(set(conv[conv > 0])) > 1
-        for r in range(batch.n_replicates):
-            prods, entropies, scalar_conv = scalar_run(
-                point, rng.seed_derive(MASTER, 0, r), 60
-            )
-            n = int(batch.n_rounds[r])
-            assert n == (max(scalar_conv, cycle) if scalar_conv else 60)
-            assert np.array_equal(batch.productions[r, : n + 1], np.asarray(prods[: n + 1]))
-            assert np.array_equal(batch.entropy[r, :n], np.asarray(entropies[:n]))
-            assert conv[r] == (scalar_conv or 0)
+
+    def test_a_set_compacted_six_times_matches_scalar(self):
+        # The compacted codes move to the front of the point's buffers. From
+        # 12 replicates the set compacts six times, first under the table
+        # of every code and, once it is small, from each cell's own code.
+        point = ParameterPoint(coordination_bias=0.5, content_sensitivity=0.5)
+        batch = batch_equals_scalar(point, 12, UntilConvergence(40))
+        assert compactions(batch) == 6
 
     def test_smaller_batch_is_prefix_of_larger(self):
         large = self.batch()
@@ -610,38 +627,41 @@ class TestWorkingMemory:
     # The until-convergence point of the benchmark: its batch steps to the cap.
     POINT = ParameterPoint(coordination_bias=1.0, content_sensitivity=0.0, memory_window=3.0)
 
-    def test_an_until_convergence_point_stays_small(self):
-        # The batch stores entropy (8 bytes), the quality count (2) and the
-        # one-byte history (8) per run-round, 3.6 MB here, and the kernel's
-        # working state on top. Any one derived float64 array would cost
-        # 1.6 MB more, and an int16 history 1.6 MB more.
+    @staticmethod
+    def traced(run):
+        """run()'s result, with the traced bytes it holds and its traced peak,
+        after a warm-up call."""
+        run()
         tracemalloc.start()
         try:
-            batch = run_replicates(self.POINT, 1000, MASTER, horizon=UntilConvergence(200))
+            result = run()
             held, peak = tracemalloc.get_traced_memory()
-            assert batch.entropy.shape == (1000, 200)
-            assert held <= 3.7e6
-            assert peak <= 6.0e6
-            tracemalloc.reset_peak()
-            summarize_batch(batch)
-            assert tracemalloc.get_traced_memory()[1] - held <= 0.5e6
         finally:
             tracemalloc.stop()
+        return result, held, peak
+
+    def test_an_until_convergence_point_stays_small(self):
+        # The batch stores entropy (8 bytes), the quality count (1) and the
+        # one-byte history (8) per run-round, 3.4 MB here, and the kernel's
+        # working state on top: its codes (0.5 MB), keys and draw buffers,
+        # and the temporaries of one round step. Any one derived float64
+        # array would cost 1.6 MB more, and an int16 history 1.6 MB more.
+        batch, held, peak = self.traced(
+            lambda: run_replicates(self.POINT, 1000, MASTER, horizon=UntilConvergence(200)))
+        assert batch.entropy.shape == (1000, 200)
+        assert held <= 3.5e6
+        assert peak <= 4.9e6
+        assert self.traced(lambda: summarize_batch(batch))[2] <= 0.5e6
 
     def test_a_wide_round_stays_small(self):
         # Unbounded memory at 400 rounds is past the dense table from round 1
         # (401**2 > 4 * 19200 cells): each round computes the probabilities
-        # of its cells' codes, about 1.6 MB of working memory on top of the
+        # of its cells' codes, about 1.3 MB of working memory on top of the
         # batch.
-        run_replicates(ParameterPoint(), 2, MASTER, horizon=FixedHorizon(5))
-        tracemalloc.start()
-        try:
-            batch = run_replicates(ParameterPoint(), 300, MASTER, horizon=FixedHorizon(400))
-            held, peak = tracemalloc.get_traced_memory()
-            assert batch.entropy.shape == (300, 400)
-            assert peak - held <= 1.8e6
-        finally:
-            tracemalloc.stop()
+        batch, held, peak = self.traced(
+            lambda: run_replicates(ParameterPoint(), 300, MASTER, horizon=FixedHorizon(400)))
+        assert batch.entropy.shape == (300, 400)
+        assert peak - held <= 1.5e6
 
 
 class TestSweepGrid:
@@ -727,7 +747,7 @@ class TestSweepGrid:
         started = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, *args, **kwargs):
                 started.append(max_workers)
 
             def __enter__(self):

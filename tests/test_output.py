@@ -1,10 +1,12 @@
 """CSV formats, round-trips, summaries, and the resumable sweep sink."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -206,6 +208,15 @@ class TestSummaries:
         path = tmp_path / "summary.csv"
         path.write_text(SUMMARY_HEADER + "\n" + summary_block(rows))
         assert read_summary(path) == rows
+
+    def test_a_record_survives_the_pool_pickle(self):
+        # A pool worker returns its records pickled; slots must not lose the
+        # fields or the frozenness.
+        rec = summarize_batch(run_replicates(ParameterPoint(), 10, MASTER))[0]
+        copy = pickle.loads(pickle.dumps(rec))
+        assert copy == rec
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.mean = 0.0
 
     def test_empty_summary_is_header_only(self, tmp_path):
         path = tmp_path / "summary.csv"
