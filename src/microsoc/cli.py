@@ -200,7 +200,9 @@ def cmd_simulate(args) -> int:
         if args.max_rounds is not None:
             raise ConfigError("--max-rounds only applies with --until-convergence")
         horizon = engine.FixedHorizon(args.rounds)
-    batch = engine.run_replicates(point, args.runs, args.seed, horizon=horizon)
+    # The printed metrics and runs_block never read the production history.
+    batch = engine.run_replicates(point, args.runs, args.seed, horizon=horizon,
+                                  history=False)
 
     print(f"# {args.runs} run(s), {point.n_agents} agents, "
           f"{point.connectivity_label} connectivity")

@@ -1,24 +1,26 @@
 """Simulation runs, replicate batches, and parameter sweeps.
 
 The batch kernel simulates all replicates of one parameter point at once. Its
-state is one production history and one integer code per (variant, agent)
-cell, E * S + A for the cell's ego and allo counts over the memory window,
-which slides by one round per step (S, one more than the longest window the
-run can hold, exceeds every count; the quality owner's cell carries an offset
-of S**2). history is the kernel's only history: it takes one byte per id
-below 128 agents and two otherwise, as do the high-quality counts, and the
-batch stores both as they are. The codes are variant-major, (variants,
-replicates * agents), with column i * n + a for agent a of active replicate
-i. What an agent heard is its
-partner's production, read from the history through the schedule's partner
-matrix. A production probability depends only on a cell's two counts, on
-whether it is the quality owner's variant and on whether the column's window
-holds that variant. _pooled_frequency and _production_probability compute it
-with the scalar reference's IEEE operations (tests/scalar_model.py) in that
-reference's order. While S**2 is at most four times the number of cells, a
-round looks it up in a table of every code, rebuilt only when the window's
-totals change; otherwise it computes it from each cell's own code. Either way
-a round costs in proportion to the cells. A round's draw then runs one variant at a time: a running sum
+state is the rounds of productions that it keeps and one integer code per
+(variant, agent) cell, E * S + A for the cell's ego and allo counts over the
+memory window, which slides by one round per step (S, one more than the
+longest window the run can hold, exceeds every count; the quality owner's
+cell carries an offset of S**2). The productions take one byte per id below
+128 agents and two otherwise, as do the high-quality counts. By default the
+kernel keeps every round and the batch stores it as its history; with
+history=False it keeps only the rounds the window reads, and the batch has
+no history. The codes are variant-major, (variants, replicates * agents),
+with column i * n + a for agent a of active replicate i. What an agent heard
+is its partner's production, read from the kept rounds through the
+schedule's partner matrix. A production probability depends only on a
+cell's two counts, on whether it is the quality owner's variant and on
+whether the column's window holds that variant. _pooled_frequency and
+_production_probability compute it with the scalar reference's IEEE
+operations (tests/scalar_model.py) in that reference's order. While S**2 is
+at most four times the number of cells, a round looks it up in a table of
+every code, rebuilt only when the window's totals change; otherwise it
+computes it from each cell's own code. Either way a round costs in proportion
+to the cells. A round's draw then runs one variant at a time: a running sum
 over that variant's probabilities, compared with each agent's uniform. The
 sum adds variants left to right, as the reference's cumulative sum does, and
 never decreases, so the last variant needs no comparison. The uniforms come
@@ -60,7 +62,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import metrics, output, rng
-from .errors import InvalidParamsError, InvalidReplicatesError, ScheduleValidationError
+from .errors import (InvalidParamsError, InvalidReplicatesError, MicrosocError,
+                     ScheduleValidationError)
 from .schedule import (BUILTIN_SIZES, ConnectivityKind, Schedule, builtin_schedule,
                        validate_schedule)
 
@@ -189,11 +192,17 @@ def horizon_rounds(horizon: Horizon, cycle: int) -> int:
 
 def _pooled_frequency(ego, allo, ego_total, allo_total, c):
     """The frequency of a variant that the agent's window counts ego times
-    among its own productions and allo times among what it heard."""
+    among its own productions and allo times among what it heard, for each
+    entry of ego and allo, which have one shape. The steps after the first
+    work in place; multiplication and addition commute in IEEE arithmetic,
+    so each entry has the bits of (1 - c) * pooled + c * heard."""
     pooled = ego / ego_total
     if allo_total != 0:
         # An empty allo partition hands its weight c to the ego side.
-        pooled = (1.0 - c) * pooled + c * (allo / allo_total)
+        pooled *= 1.0 - c
+        heard = allo / allo_total
+        heard *= c
+        pooled += heard
     return pooled
 
 
@@ -203,9 +212,14 @@ def _production_probability(owner, pooled, beta, mu, mu_floor):
     content bias where the window holds that variant, 0 elsewhere. With
     _pooled_frequency, each entry takes the scalar reference's IEEE operations
     in its order, so it gives the agent-by-agent rule's bits. Content bias
-    adds beta * owner: beta * 0 == +0.0, which changes no bit.
+    adds beta * owner: beta * 0 == +0.0, which changes no bit. The sum with
+    the owner term creates the broadcast array, which the last two steps
+    update in place.
     """
-    return (1.0 - mu) * ((1.0 - beta) * pooled + beta * owner) + mu_floor
+    probability = (1.0 - beta) * pooled + beta * owner
+    probability *= 1.0 - mu
+    probability += mu_floor
+    return probability
 
 
 @dataclass
@@ -216,14 +230,14 @@ class BatchResult:
     executed. n_rounds[r] says how many leading columns are meaningful for
     replicate r (they differ only in until-convergence mode). quality_counts
     says how many of a round's n productions are the high-quality variant;
-    it has the history's dtype. history is the kernel's only history,
+    it has the history's dtype. history is every round's productions,
     (replicates, max_rounds + 1, n_agents), int8 below 128 agents and int16
-    otherwise: column 0 holds each
-    agent's seed variant, and what agents heard in round t is history[:, t]
-    permuted by the round's partners. The columns past n_rounds[r] are NaN in
-    entropy and -1 in quality_counts and history (where column t is round t,
-    so the fill starts at n_rounds[r] + 1): a converged replicate is no
-    longer stepped. productions and the other metrics are read-only
+    otherwise, or None for a batch run with history=False: column 0 holds
+    each agent's seed variant, and what agents heard in round t is
+    history[:, t] permuted by the round's partners. The columns past
+    n_rounds[r] are NaN in entropy and -1 in quality_counts and history
+    (where column t is round t, so the fill starts at n_rounds[r] + 1): a
+    converged replicate is no longer stepped. productions and the other metrics are read-only
     properties, NaN past n_rounds; each access computes a whole array.
     """
 
@@ -235,11 +249,14 @@ class BatchResult:
     entropy: np.ndarray
     quality_counts: np.ndarray
     convergence_rounds: np.ndarray  # 0 where censored
-    history: np.ndarray
+    history: np.ndarray | None
 
     @property
     def productions(self) -> np.ndarray:
         """The history as int16, whatever the population."""
+        if self.history is None:
+            raise MicrosocError("this batch was run with history=False and "
+                                "keeps no productions")
         return self.history.astype(np.int16, copy=False)
 
     @property
@@ -267,8 +284,14 @@ def run_replicates(
     master_seed: int,
     horizon: Horizon = FixedHorizon(),
     point_index: int = 0,
+    *,
+    history: bool = True,
 ) -> BatchResult:
-    """All replicates of one point, run in lockstep as a dense batch."""
+    """All replicates of one point, run in lockstep as a dense batch.
+
+    history=False keeps only the rounds the memory window reads, and the
+    batch's history is None; every other array is the same.
+    """
     # A bool is Integral, but np.empty refuses it as a dimension.
     if isinstance(replicates, bool) or not isinstance(replicates, Integral) or replicates < 1:
         raise InvalidReplicatesError(f"replicates must be an integer >= 1, got {replicates!r}")
@@ -293,10 +316,14 @@ def run_replicates(
     m = point.memory_window
     mu_floor = mu / n_variants
 
-    # History, indexed by replicate: full-size for the whole run. Its ids, the
+    # Productions, indexed by replicate, keep L rounds, round w in column
+    # w % L: every round with history; without, the m + 1 rounds t - 1 - m
+    # .. t - 1 that slide reads before round t overwrites column t % L, or
+    # round t - 1 alone when no round leaves the window. Its ids, the
     # high-quality counts and the -1 fill take one byte below 128 agents.
+    L = max_rounds + 1 if history else (int(m) + 1 if m < max_rounds else 1)
     hist_dtype = np.int8 if n < 128 else np.int16
-    prods = np.empty((replicates, max_rounds + 1, n), dtype=hist_dtype)
+    prods = np.empty((replicates, L, n), dtype=hist_dtype)
     prods[:, 0, :] = np.arange(n, dtype=hist_dtype)
     ent = np.zeros((replicates, max_rounds))
     quality = np.zeros((replicates, max_rounds), dtype=hist_dtype)
@@ -341,7 +368,7 @@ def run_replicates(
         for w, step in ((t - 1, 1), (t - 1 - m, -1)):
             if w >= 0:
                 w = int(w)
-                produced = prods[active, w].astype(np.intp) * kn
+                produced = prods[active, w % L].astype(np.intp) * kn
                 np.add.at(codes_flat, produced.ravel() + cols, step * S)
                 if w > 0:
                     heard = produced[:, partners[(w - 1) % cycle]]
@@ -364,8 +391,8 @@ def run_replicates(
             if (ego_total, allo_total) != built:
                 if dense is None:
                     dense = np.empty((2, 2, S, S))
-                pooled = _pooled_frequency(np.arange(ego_total + 1)[:, None],
-                                           np.arange(allo_total + 1), ego_total, allo_total, c)
+                pooled = _pooled_frequency(*np.indices((ego_total + 1, allo_total + 1)),
+                                           ego_total, allo_total, c)
                 # One beta at a time: both at once double the temporaries.
                 for flag, beta in enumerate((0.0, b)):
                     dense[flag, :, : ego_total + 1, : allo_total + 1] = _production_probability(
@@ -374,10 +401,13 @@ def run_replicates(
             table, offset = dense.reshape(-1), holds * (2 * owner_code)
             probs = (table[row + offset] for row in codes[:-1])
         else:
+            # count becomes the allo count, and both intp counts go before
+            # the probabilities are built.
             owner_bit, count = np.divmod(codes[:-1], owner_code)
-            probs = _production_probability(
-                owner_bit, _pooled_frequency(count // S, count % S, ego_total, allo_total, c),
-                holds * b, mu, mu_floor)
+            ego = np.divmod(count, S, out=(None, count))[0]
+            pooled = _pooled_frequency(ego, count, ego_total, allo_total, c)
+            del ego, count
+            probs = _production_probability(owner_bit, pooled, holds * b, mu, mu_floor)
         u = rng.production_uniform_np(keys, t)
         acc, hits, mask = acc_buf[:kn], hits_buf[:kn], mask_buf[:kn]
         acc[:] = hits[:] = 0
@@ -390,7 +420,7 @@ def run_replicates(
 
     def measure(t, idx):
         """Store round t's productions idx and the metrics of its pools."""
-        prods[active, t, :] = idx
+        prods[active, t % L, :] = idx
         pool_counts = np.bincount((pool_base + idx).ravel(), minlength=k * n_variants)
         h = metrics.entropy_from_terms(term_table[pool_counts.reshape(k, n_variants)])
         ent[active, t - 1] = h
@@ -436,7 +466,7 @@ def run_replicates(
     executed = t
     ent = ent[:, :executed]
     quality = quality[:, :executed]
-    history = prods[:, : executed + 1, :]
+    kept_history = prods[:, : executed + 1, :] if history else None
     if horizon.open_ended:
         n_rounds = np.where(conv > 0, np.maximum(conv, cycle), executed)
         # Columns past a replicate's own horizon get a fixed fill, so its row
@@ -445,7 +475,8 @@ def run_replicates(
         past = np.arange(executed) >= n_rounds[:, None]
         np.copyto(ent, np.nan, where=past)
         np.copyto(quality, -1, where=past)
-        np.copyto(history[:, 1:, :], -1, where=past[:, :, None])
+        if history:
+            np.copyto(kept_history[:, 1:, :], -1, where=past[:, :, None])
     else:
         n_rounds = np.full(replicates, executed, dtype=np.int64)
 
@@ -458,7 +489,7 @@ def run_replicates(
         entropy=ent,
         quality_counts=quality,
         convergence_rounds=conv,
-        history=history,
+        history=kept_history,
     )
 
 
@@ -523,6 +554,7 @@ def _sweep_point(args) -> tuple[int, "object"]:
         master_seed,
         horizon=horizon,
         point_index=point_index,
+        history=False,
     )
     runs_text = output.runs_block(batch) if want_runs else ""
     summaries = output.summarize_batch(batch)

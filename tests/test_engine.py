@@ -70,6 +70,15 @@ def batch_equals_scalar(point, replicates=3, horizon=FixedHorizon()):
     return batch
 
 
+def two_matchings(n):
+    """A schedule of two matchings: even agents with the next one, then odd
+    agents with the next one."""
+    return Schedule.from_pairs(n, (
+        [(a, a + 1) for a in range(0, n, 2)],
+        [(a, (a + 1) % n) for a in range(1, n, 2)],
+    ))
+
+
 def compactions(batch):
     """How often the kernel compacted the batch's active set, from its
     convergence rounds: after each round from the cycle's last on, once a
@@ -142,13 +151,9 @@ class TestScalarAgreement:
     @pytest.mark.parametrize("n,history_dtype", [(126, np.int8), (128, np.int16)])
     def test_the_history_dtype_boundary(self, n, history_dtype):
         # Ids, high-quality counts and the -1 fill fit one byte below 128
-        # agents. Two matchings:
-        # even agents with the next one, then odd agents with the next one.
-        schedule = Schedule.from_pairs(n, (
-            [(a, a + 1) for a in range(0, n, 2)],
-            [(a, (a + 1) % n) for a in range(1, n, 2)],
-        ))
-        point = ParameterPoint(n_agents=n, connectivity=schedule, content_sensitivity=0.5)
+        # agents.
+        point = ParameterPoint(n_agents=n, connectivity=two_matchings(n),
+                               content_sensitivity=0.5)
         batch = batch_equals_scalar(point)
         assert batch.history.dtype == history_dtype
         assert batch.quality_counts.dtype == history_dtype
@@ -443,6 +448,49 @@ class TestActiveSet:
         ]
 
 
+class TestHistoryFree:
+    # A batch run with history=False keeps only the rounds its window reads,
+    # round w in column w % L. Each case runs past L rounds, so columns are
+    # reused; the default horizon is 7 rounds at 8 agents.
+    @pytest.mark.parametrize("point,replicates,horizon", [
+        *(pytest.param(ParameterPoint(memory_window=m, content_sensitivity=0.6,
+                                      coordination_bias=0.7), 3, FixedHorizon(),
+                       id=f"memory-{m}")
+          for m in (1.0, 3.0, 5.0, math.inf)),
+        # Finite windows that no round leaves: L is 1, as unbounded.
+        pytest.param(ParameterPoint(memory_window=7, content_sensitivity=0.6), 3,
+                     FixedHorizon(), id="memory-at-horizon"),
+        pytest.param(ParameterPoint(memory_window=10, content_sensitivity=0.6), 3,
+                     FixedHorizon(), id="memory-past-horizon"),
+        # Past 27 rounds at 3 replicates, the wide domain: S**2 > 4 * 192 cells.
+        pytest.param(ParameterPoint(memory_window=30, content_sensitivity=0.5), 3,
+                     FixedHorizon(40), id="wide-memory-30"),
+        pytest.param(ParameterPoint(content_sensitivity=0.5), 3, FixedHorizon(40),
+                     id="wide-unbounded"),
+        pytest.param(ParameterPoint(n_agents=128, connectivity=two_matchings(128),
+                                    content_sensitivity=0.5, memory_window=1.0),
+                     2, FixedHorizon(6), id="int16"),
+        # Compacted sets: the six-times case, and drift with memory 3.
+        pytest.param(ParameterPoint(coordination_bias=0.5, content_sensitivity=0.5), 12,
+                     UntilConvergence(40), id="compacted-unbounded"),
+        pytest.param(TestActiveSet.POINT, 30, TestActiveSet.HORIZON,
+                     id="compacted-memory-3"),
+    ])
+    def test_a_history_free_batch_is_the_same_batch(self, point, replicates, horizon):
+        full = run_replicates(point, replicates, MASTER, horizon=horizon)
+        free = run_replicates(point, replicates, MASTER, horizon=horizon, history=False)
+        if horizon.open_ended:
+            assert compactions(full) >= 2
+        assert free.entropy.tobytes() == full.entropy.tobytes()
+        for name in ("quality_counts", "n_rounds", "convergence_rounds", "run_seeds",
+                     "quality_owners"):
+            a, b = getattr(free, name), getattr(full, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert free.history is None
+        with pytest.raises(MicrosocError, match="history=False"):
+            free.productions
+
+
 class TestValidationAndShapes:
     def test_zero_replicates_rejected(self):
         with pytest.raises(InvalidReplicatesError):
@@ -653,15 +701,26 @@ class TestWorkingMemory:
         assert peak <= 4.9e6
         assert self.traced(lambda: summarize_batch(batch))[2] <= 0.5e6
 
+    def test_a_history_free_point_stays_smaller(self):
+        # Without history the batch holds 8 + 1 bytes per run-round, 1.8 MB,
+        # and the kernel keeps 4 rounds of productions (32 kB) in place of
+        # 201 (1.6 MB).
+        batch, held, peak = self.traced(
+            lambda: run_replicates(self.POINT, 1000, MASTER, horizon=UntilConvergence(200),
+                                   history=False))
+        assert batch.entropy.shape == (1000, 200)
+        assert held <= 2.0e6
+        assert peak <= 3.3e6
+
     def test_a_wide_round_stays_small(self):
         # Unbounded memory at 400 rounds is past the dense table from round 1
         # (401**2 > 4 * 19200 cells): each round computes the probabilities
-        # of its cells' codes, about 1.3 MB of working memory on top of the
+        # of its cells' codes, about 1.0 MB of working memory on top of the
         # batch.
         batch, held, peak = self.traced(
             lambda: run_replicates(ParameterPoint(), 300, MASTER, horizon=FixedHorizon(400)))
         assert batch.entropy.shape == (300, 400)
-        assert peak - held <= 1.5e6
+        assert peak - held <= 1.1e6
 
 
 class TestSweepGrid:
