@@ -27,9 +27,10 @@ never decreases, so the last variant needs no comparison. The uniforms come
 from the same counter-based keys: a production uniform folds the round into
 its (run, agent) key last, so the keys are built once per point and a round
 costs one mix. A batched run is therefore bit-identical to the scalar
-reference loop; tests enforce that. A batch stores the round's entropy and
-high-quality count, the two metrics the kernel measures, and derives the
-others on access.
+reference loop; tests enforce that. A batch stores, for each round, the rows
+the kernel stepped and their entropy and high-quality count, the two metrics
+the kernel measures; it builds each (replicates, rounds) metric array on
+access.
 
 Under an open-ended horizon the kernel steps only the replicates still
 running: one that has converged and finished the round-robin retires, and its
@@ -224,21 +225,26 @@ def _production_probability(owner, pooled, beta, mu, mu_floor):
 
 @dataclass
 class BatchResult:
-    """Dense per-round metrics for all replicates of one point.
+    """Per-round metrics for all replicates of one point.
 
-    Rows of the metric arrays are replicates; columns are rounds 1..max
-    executed. n_rounds[r] says how many leading columns are meaningful for
-    replicate r (they differ only in until-convergence mode). quality_counts
-    says how many of a round's n productions are the high-quality variant;
-    it has the history's dtype. history is every round's productions,
-    (replicates, max_rounds + 1, n_agents), int8 below 128 agents and int16
-    otherwise, or None for a batch run with history=False: column 0 holds
-    each agent's seed variant, and what agents heard in round t is
-    history[:, t] permuted by the round's partners. The columns past
-    n_rounds[r] are NaN in entropy and -1 in quality_counts and history
-    (where column t is round t, so the fill starts at n_rounds[r] + 1): a
-    converged replicate is no longer stepped. productions and the other metrics are read-only
-    properties, NaN past n_rounds; each access computes a whole array.
+    stepped holds one (rows, entropy, quality_counts) triple per executed
+    round: the replicate rows the kernel stepped, ascending, and those rows'
+    entropy (float64) and high-quality count (how many of the round's n
+    productions are the high-quality variant, in the history's dtype). Rounds
+    between two compactions of the active set share one rows array.
+    n_rounds[r] says how many leading rounds are meaningful for replicate r
+    (they differ only in until-convergence mode); a replicate not stepped in
+    a round is past its n_rounds there. history is every round's
+    productions, (replicates, max_rounds + 1, n_agents), int8 below 128
+    agents and int16 otherwise, or None for a batch run with history=False:
+    column 0 holds each agent's seed variant, and what agents heard in round
+    t is history[:, t] permuted by the round's partners; its columns past
+    n_rounds[r] + 1 are -1.
+
+    entropy, quality_counts, productions and the derived metrics are
+    read-only properties; each access builds a whole (replicates, rounds)
+    array, with rows for replicates and columns for rounds 1..max executed,
+    NaN past n_rounds (-1 in quality_counts).
     """
 
     point: ParameterPoint
@@ -246,10 +252,34 @@ class BatchResult:
     run_seeds: np.ndarray
     quality_owners: np.ndarray
     n_rounds: np.ndarray
-    entropy: np.ndarray
-    quality_counts: np.ndarray
+    stepped: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     convergence_rounds: np.ndarray  # 0 where censored
     history: np.ndarray | None
+
+    def _dense(self, part: int, fill) -> np.ndarray:
+        """Part `part` of the stepped triples as (replicates, rounds), with
+        fill past n_rounds: one stack and one scatter per run of rounds that
+        share their rows."""
+        stepped = self.stepped
+        out = np.empty((self.n_replicates, len(stepped)), dtype=stepped[0][part].dtype)
+        start = 0
+        for end in range(1, len(stepped) + 1):
+            rows = stepped[start][0]
+            if end == len(stepped) or stepped[end][0] is not rows:
+                out[rows, start:end] = np.stack([s[part] for s in stepped[start:end]],
+                                                axis=1)
+                start = end
+        if self.horizon.open_ended:
+            np.copyto(out, fill, where=np.arange(len(stepped)) >= self.n_rounds[:, None])
+        return out
+
+    @property
+    def entropy(self) -> np.ndarray:
+        return self._dense(1, np.nan)
+
+    @property
+    def quality_counts(self) -> np.ndarray:
+        return self._dense(2, -1)
 
     @property
     def productions(self) -> np.ndarray:
@@ -265,17 +295,17 @@ class BatchResult:
 
     @property
     def entropy_norm(self) -> np.ndarray:
-        return self.entropy / math.log2(self.point.n_agents)
+        return metrics.entropy_norm(self.entropy, self.point.n_agents)
 
     @property
     def adaptiveness(self) -> np.ndarray:
-        counts = self.quality_counts
-        return np.where(counts < 0, np.nan, counts / self.point.n_agents)
+        return metrics.adaptiveness(self.quality_counts, self.point.n_agents)
 
     @property
     def delta_adaptiveness(self) -> np.ndarray:
-        """The change from the round before; before round 1, from 1/n."""
-        return np.diff(self.adaptiveness, axis=1, prepend=1 / self.point.n_agents)
+        now = self.adaptiveness
+        before = np.insert(now[:, :-1], 0, 1 / self.point.n_agents, axis=1)
+        return metrics.delta_adaptiveness(now, before)
 
 
 def run_replicates(
@@ -325,8 +355,7 @@ def run_replicates(
     hist_dtype = np.int8 if n < 128 else np.int16
     prods = np.empty((replicates, L, n), dtype=hist_dtype)
     prods[:, 0, :] = np.arange(n, dtype=hist_dtype)
-    ent = np.zeros((replicates, max_rounds))
-    quality = np.zeros((replicates, max_rounds), dtype=hist_dtype)
+    stepped = []
     conv = np.zeros(replicates, dtype=np.int64)
     # What a count adds to a round's entropy: the pool always holds n.
     term_table = metrics.count_terms(np.arange(n + 1), n)
@@ -423,8 +452,7 @@ def run_replicates(
         prods[active, t % L, :] = idx
         pool_counts = np.bincount((pool_base + idx).ravel(), minlength=k * n_variants)
         h = metrics.entropy_from_terms(term_table[pool_counts.reshape(k, n_variants)])
-        ent[active, t - 1] = h
-        quality[active, t - 1] = pool_counts[owner_pool]
+        stepped.append((rows, h, pool_counts[owner_pool].astype(hist_dtype)))
         conv[rows[(conv[active] == 0) & (h == 0.0)]] = t
 
     for t in range(1, max_rounds + 1):
@@ -464,18 +492,14 @@ def run_replicates(
                 codes = codes_buf[: n_variants * kept_n].reshape(n_variants, kept_n)
 
     executed = t
-    ent = ent[:, :executed]
-    quality = quality[:, :executed]
     kept_history = prods[:, : executed + 1, :] if history else None
     if horizon.open_ended:
         n_rounds = np.where(conv > 0, np.maximum(conv, cycle), executed)
         # Columns past a replicate's own horizon get a fixed fill, so its row
-        # depends on its seed alone and not on its batch-mates. The derived
-        # metrics inherit the NaN.
-        past = np.arange(executed) >= n_rounds[:, None]
-        np.copyto(ent, np.nan, where=past)
-        np.copyto(quality, -1, where=past)
+        # depends on its seed alone and not on its batch-mates; the metrics
+        # get theirs on access.
         if history:
+            past = np.arange(executed) >= n_rounds[:, None]
             np.copyto(kept_history[:, 1:, :], -1, where=past[:, :, None])
     else:
         n_rounds = np.full(replicates, executed, dtype=np.int64)
@@ -486,8 +510,7 @@ def run_replicates(
         run_seeds=seeds,
         quality_owners=owners,
         n_rounds=n_rounds,
-        entropy=ent,
-        quality_counts=quality,
+        stepped=stepped,
         convergence_rounds=conv,
         history=kept_history,
     )

@@ -9,6 +9,9 @@ holds n productions. Convergence is detected by exact comparison with 0.0,
 which is safe because a unanimous round's entropy is computed as
 -(1.0 * log2(1.0)) == 0.0 with no rounding.
 
+entropy_norm, adaptiveness and delta_adaptiveness are the one definition of
+each metric that a batch derives from what the kernel measures.
+
 aggregate_rows is the one definition of the summary statistics; aggregate
 is its one-row case, pooled merges them and detect_bursts marks the plots.
 """
@@ -42,6 +45,23 @@ def entropy_from_terms(terms: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=-1) + 0.0
 
 
+def entropy_norm(entropy, n_agents):
+    """Entropy as a share of its largest value, log2 of the population."""
+    return entropy / math.log2(n_agents)
+
+
+def adaptiveness(counts, n_agents):
+    """The high-quality variant's share of a round's n_agents productions;
+    NaN where the count is -1, a round the run did not reach."""
+    return np.where(counts < 0, np.nan, counts / n_agents)
+
+
+def delta_adaptiveness(now, before):
+    """The change in adaptiveness from the round before; before round 1 the
+    owner's seed alone is high-quality, a share of 1 / n_agents."""
+    return now - before
+
+
 @dataclass(frozen=True)
 class AggregateStats:
     """Mean, sample SD, normal-approximation 95% half-width, and count."""
@@ -54,23 +74,26 @@ class AggregateStats:
 
 def aggregate_rows(table: np.ndarray) -> list[AggregateStats]:
     """Mean, sample SD (n-1 denominator) and 1.96*sd/sqrt(n) of each row of a
-    2-D array with >= 2 columns, in one numpy call per statistic.
+    2-D array with >= 2 columns, each row summed once.
 
-    The rows are reduced in C order, where numpy sums a row with the same
-    pairwise tree as a 1-D array of its length, so each row's stats equal
-    those of the row alone to the last bit. A Fortran-ordered table would be
-    summed column by column instead, so it is copied first.
+    These are the operations of numpy's mean and std(ddof=1), in their
+    order, so the stats have their bits. The rows are reduced in C order,
+    where numpy sums a row with the same pairwise tree as a 1-D array of its
+    length, so each row's stats equal those of the row alone to the last
+    bit. A Fortran-ordered table would be summed column by column instead,
+    so it is copied first.
     """
     table = np.ascontiguousarray(table, dtype=np.float64)
     n = table.shape[1]
     if n < 2:
         raise InsufficientDataError(f"need at least 2 values, got {n}")
+    mean = np.add.reduce(table, axis=1, keepdims=True) / n
+    d = table - mean
+    d *= d
+    sd = np.sqrt(np.add.reduce(d, axis=1) / (n - 1))
     root = math.sqrt(n)
-    return [
-        AggregateStats(mean, sd, 1.96 * sd / root, n)
-        for mean, sd in zip(table.mean(axis=1).tolist(),
-                            table.std(axis=1, ddof=1).tolist())
-    ]
+    return [AggregateStats(m, s, 1.96 * s / root, n)
+            for m, s in zip(mean[:, 0].tolist(), sd.tolist())]
 
 
 def aggregate(values: Sequence[float]) -> AggregateStats:

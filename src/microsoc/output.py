@@ -96,14 +96,16 @@ def runs_block(batch) -> str:
     "-0") and their quality count paired with the round before's, and rows
     are joined from the head and tail tables.
     """
-    n_cols = batch.entropy.shape[1]
+    entropy = batch.entropy  # each access builds the array
+    n_cols = entropy.shape[1]
     # Row-major order of the meaningful cells is the file's run/round order.
     run_idx, round_idx = np.nonzero(np.arange(n_cols) < batch.n_rounds[:, None])
     if len(run_idx) == 0:
         return ""
     n = batch.point.n_agents
-    levels, ent_code = np.unique(batch.entropy[run_idx, round_idx].view(np.uint64),
+    levels, ent_code = np.unique(entropy[run_idx, round_idx].view(np.uint64),
                                  return_inverse=True)
+    del entropy
     counts = batch.quality_counts
     # Before round 1 the count before is 1, a share of 1/n.
     prior = np.where(round_idx > 0, counts[run_idx, round_idx - 1], 1)
@@ -121,15 +123,15 @@ def runs_block(batch) -> str:
     distinct, tail_idx = np.unique(key, return_inverse=True)
     rep = np.empty(len(distinct), dtype=np.intp)
     rep[tail_idx] = np.arange(len(key))
-    # Each level takes the operations of its BatchResult property.
     e = levels.view(np.float64)
-    ent = ["%.17g,%.17g" % xy for xy in zip(e.tolist(), (e / math.log2(n)).tolist())]
+    ent = ["%.17g,%.17g" % xy
+           for xy in zip(e.tolist(), metrics.entropy_norm(e, n).tolist())]
     converged = [int(x == 0.0) for x in e.tolist()]
     pairs, pair_idx = np.unique(pair[rep], return_inverse=True)
     now, before = np.divmod(pairs, n + 1)
-    share = np.arange(n + 1) / n
-    adapt = ["%.17g,%.17g" % xy for xy in zip(share[now].tolist(),
-                                               (share[now] - share[before]).tolist())]
+    share = metrics.adaptiveness(np.arange(n + 1), n)
+    adapt = ["%.17g,%.17g" % xy for xy in zip(
+        share[now].tolist(), metrics.delta_adaptiveness(share[now], share[before]).tolist())]
     tails = [f",{t + 1},{ent[i]},{adapt[j]},{converged[i]}\n" for t, i, j in
              zip(round_idx[rep].tolist(), ent_code[rep].tolist(), pair_idx.tolist())]
     mid = _point_fields(*_point_key(batch.point))
@@ -157,18 +159,26 @@ def summarize_batch(batch) -> list[SummaryRecord]:
     # Records are built positionally: cheaper than a keyword expansion each.
     key = _point_key(batch.point)
     out = []
-    n_rounds, counts, n_agents = batch.n_rounds, batch.quality_counts, batch.point.n_agents
-    for t in range(1, int(n_rounds.max()) + 1):
-        mask = n_rounds >= t
-        n = int(mask.sum())
-        if n < 2:
-            continue
-        # The derived metrics take the operations of the BatchResult
-        # properties; np.stack gives the C order aggregate_rows expects.
-        e = batch.entropy[:, t - 1].compress(mask)
-        a = counts[:, t - 1].compress(mask) / n_agents
-        prev = counts[:, t - 2].compress(mask) / n_agents if t > 1 else 1 / n_agents
-        table = np.stack([e, e / math.log2(n_agents), a, a - prev])
+    n_agents = batch.point.n_agents
+    prev_rows = prev_a = None
+    for t, (rows, h, counts) in enumerate(batch.stepped, 1):
+        if rows is not prev_rows:
+            # The stepped rows only shrink and keep their order, so the
+            # round before's rows hold this round's: searchsorted finds them.
+            if prev_rows is not None:
+                prev_a = prev_a[np.searchsorted(prev_rows, rows)]
+            prev_rows, last = rows, batch.n_rounds[rows]
+        runners = last >= t
+        n = int(np.count_nonzero(runners))
+        if n < 2:  # and fewer in every later round
+            break
+        a = metrics.adaptiveness(counts, n_agents)
+        e, now = h.compress(runners), a.compress(runners)
+        before = prev_a.compress(runners) if t > 1 else 1 / n_agents
+        prev_a = a
+        # C order, as aggregate_rows expects.
+        table = np.stack([e, metrics.entropy_norm(e, n_agents), now,
+                          metrics.delta_adaptiveness(now, before)])
         for name, stats in zip(ROUND_METRICS, metrics.aggregate_rows(table)):
             out.append(SummaryRecord(*key, t, name, stats.mean, stats.sd, stats.ci95,
                                      stats.n, 0))

@@ -603,8 +603,9 @@ class TestSweep:
         # The scalar reference of the draws and metrics lives in
         # tests/scalar_model.py; the package keeps what it calls.
         assert public_functions(metrics) == [
-            "aggregate", "aggregate_rows", "count_terms", "detect_bursts",
-            "entropy_from_terms", "pooled",
+            "adaptiveness", "aggregate", "aggregate_rows", "count_terms",
+            "delta_adaptiveness", "detect_bursts", "entropy_from_terms",
+            "entropy_norm", "pooled",
         ]
         assert public_functions(rng) == [
             "absorb", "absorb_np", "mix64", "mix64_np", "production_keys_np",

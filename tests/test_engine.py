@@ -57,7 +57,7 @@ def batch_equals_scalar(point, replicates=3, horizon=FixedHorizon()):
     batch = run_replicates(point, replicates, MASTER, horizon=horizon)
     cycle = point.validate().n_rounds
     rounds = engine.horizon_rounds(horizon, cycle)
-    productions = batch.productions
+    productions, entropy = batch.productions, batch.entropy
     assert productions.dtype == np.int16
     for r in range(replicates):
         seed = rng.seed_derive(MASTER, 0, r)
@@ -65,7 +65,7 @@ def batch_equals_scalar(point, replicates=3, horizon=FixedHorizon()):
         n = max(conv, cycle) if horizon.open_ended and conv else rounds
         assert batch.n_rounds[r] == n
         assert np.array_equal(productions[r, : n + 1], np.asarray(prods[: n + 1]))
-        assert np.array_equal(batch.entropy[r, :n], np.asarray(entropies[:n]))
+        assert np.array_equal(entropy[r, :n], np.asarray(entropies[:n]))
         assert batch.convergence_rounds[r] == (conv or 0)
     return batch
 
@@ -364,10 +364,11 @@ class TestHorizons:
         batch = run_replicates(point, 30, MASTER, horizon=UntilConvergence(60))
         late = batch.convergence_rounds[batch.convergence_rounds > 7]
         assert late.size > 0  # some replicates genuinely need the cycled rounds
+        entropy = batch.entropy
         for r in range(30):
             conv = batch.convergence_rounds[r]
             if conv > 0:
-                assert batch.entropy[r, conv - 1] == 0.0
+                assert entropy[r, conv - 1] == 0.0
                 assert batch.n_rounds[r] == max(conv, 7)
 
     def test_censoring_at_max_rounds(self):
@@ -627,16 +628,16 @@ class TestValidationAndShapes:
     def test_metrics_recompute_from_productions(self):
         point = ParameterPoint(content_sensitivity=0.5, quality_owner=2)
         batch = run_replicates(point, 5, MASTER)
-        # The derived metrics are properties: read each array once.
-        entropy_norm, adapt = batch.entropy_norm, batch.adaptiveness
-        delta = batch.delta_adaptiveness
+        # The metrics are properties: read each array once.
+        ent, entropy_norm = batch.entropy, batch.entropy_norm
+        adapt, delta = batch.adaptiveness, batch.delta_adaptiveness
         for r in range(batch.n_replicates):
             for t in range(1, int(batch.n_rounds[r]) + 1):
                 prods = list(batch.productions[r, t])
-                assert batch.entropy[r, t - 1] == entropy(prods, 8)
+                assert ent[r, t - 1] == entropy(prods, 8)
                 assert entropy_norm[r, t - 1] == entropy_normalized(prods, 8)
                 assert adapt[r, t - 1] == adaptiveness(prods, [2])
-            converged = time_to_convergence(batch.entropy[r].tolist()) or 0
+            converged = time_to_convergence(ent[r].tolist()) or 0
             assert batch.convergence_rounds[r] == converged
             a_series = [1 / 8] + list(adapt[r])
             assert np.allclose(
@@ -689,28 +690,33 @@ class TestWorkingMemory:
         return result, held, peak
 
     def test_an_until_convergence_point_stays_small(self):
-        # The batch stores entropy (8 bytes), the quality count (1) and the
-        # one-byte history (8) per run-round, 3.4 MB here, and the kernel's
-        # working state on top: its codes (0.5 MB), keys and draw buffers,
-        # and the temporaries of one round step. Any one derived float64
+        # The batch stores entropy (8 bytes) and the quality count (1) per
+        # stepped run-round, 84k of the 200k run-rounds here, and the one-byte
+        # history (8) per run-round: 2.4 MB. The kernel's working state comes
+        # on top: its codes (0.5 MB), keys and draw buffers, and the
+        # temporaries of one round step. Any one float64 (replicates, rounds)
         # array would cost 1.6 MB more, and an int16 history 1.6 MB more.
         batch, held, peak = self.traced(
             lambda: run_replicates(self.POINT, 1000, MASTER, horizon=UntilConvergence(200)))
         assert batch.entropy.shape == (1000, 200)
-        assert held <= 3.5e6
-        assert peak <= 4.9e6
+        assert held <= 2.6e6
+        assert peak <= 3.8e6
         assert self.traced(lambda: summarize_batch(batch))[2] <= 0.5e6
 
     def test_a_history_free_point_stays_smaller(self):
-        # Without history the batch holds 8 + 1 bytes per run-round, 1.8 MB,
-        # and the kernel keeps 4 rounds of productions (32 kB) in place of
-        # 201 (1.6 MB).
+        # Without history the batch holds 8 + 1 bytes per stepped run-round,
+        # 0.8 MB, and the kernel keeps 4 rounds of productions (32 kB) in
+        # place of 201 (1.6 MB).
         batch, held, peak = self.traced(
             lambda: run_replicates(self.POINT, 1000, MASTER, horizon=UntilConvergence(200),
                                    history=False))
-        assert batch.entropy.shape == (1000, 200)
-        assert held <= 2.0e6
-        assert peak <= 3.3e6
+        assert held <= 1.0e6
+        assert peak <= 1.9e6
+        # One access builds the 1.6 MB entropy array and the largest run of
+        # rounds between two compactions, never a second full array.
+        entropy, _, peak = self.traced(lambda: batch.entropy)
+        assert entropy.shape == (1000, 200)
+        assert peak <= 2.1e6
 
     def test_a_wide_round_stays_small(self):
         # Unbounded memory at 400 rounds is past the dense table from round 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from microsoc import metrics
 from microsoc.errors import InsufficientDataError, InvalidParamsError, SeriesTooShortError
@@ -173,6 +174,29 @@ class TestAggregate:
         assert merged.mean == pytest.approx(flat.mean, abs=1e-12)
         assert merged.sd == pytest.approx(flat.sd, abs=1e-12)
         assert merged.ci95 == pytest.approx(flat.ci95, abs=1e-12)
+
+
+# -0.0, subnormals and values whose squares or sums overflow, beside
+# ordinary ones.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1.7e308]),
+    st.floats(-10, 10),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestAggregateRows:
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(2, 300)),
+                  elements=EDGE_FLOATS))
+    @settings(max_examples=200, deadline=None)
+    def test_each_row_has_numpys_bits(self, table):
+        n = table.shape[1]
+        with np.errstate(all="ignore"):
+            got = metrics.aggregate_rows(table)
+            for stats, row in zip(got, table):
+                sd = float(row.std(ddof=1))
+                assert [stats.mean.hex(), stats.sd.hex(), stats.ci95.hex(), stats.n] == [
+                    float(row.mean()).hex(), sd.hex(), (1.96 * sd / math.sqrt(n)).hex(), n]
 
 
 class TestDetectBursts:

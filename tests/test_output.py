@@ -25,8 +25,10 @@ from microsoc.errors import ConfigError, InvalidParamsError, SchemaError
 from microsoc.output import (
     CsvSweepSink,
     MemorySink,
+    ROUND_METRICS,
     RUNS_HEADER,
     SUMMARY_HEADER,
+    TC_METRIC,
     fmt_float,
     fmt_memory,
     read_summary,
@@ -122,6 +124,13 @@ def assert_matches_reference(batch):
     assert runs_block(batch).split("\n") == reference_runs_block(batch).split("\n")
 
 
+def one_group(entropy, counts):
+    """A batch's per-round form of (replicates, rounds) arrays: every round
+    steps every row, so all rounds share one rows array."""
+    rows = np.arange(len(entropy))
+    return [(rows, e, q) for e, q in zip(entropy.T, counts.T)]
+
+
 class TestRunsBlockMatchesReference:
     """runs_block is byte-identical to the row-by-row reference formatter."""
 
@@ -162,8 +171,7 @@ class TestRunsBlockMatchesReference:
             run_seeds=np.array([7, 2**64 - 1, 0], dtype=np.uint64),
             quality_owners=np.array([0, 7, 3]),
             n_rounds=np.array([8, 5, 8]),
-            entropy=ragged,
-            quality_counts=counts,
+            stepped=one_group(ragged, counts),
             convergence_rounds=np.zeros(3, dtype=np.int64),
             history=np.zeros((3, 9, 8), dtype=np.int64),
         )
@@ -187,8 +195,8 @@ class TestRunsBlockMatchesReference:
             run_seeds=np.zeros(1, dtype=np.uint64),
             quality_owners=np.zeros(1, dtype=np.int64),
             n_rounds=np.array([rounds]),
-            entropy=((t % 2**17 + 1) / (2**17 + 1.0))[None, :],
-            quality_counts=(t % (n + 1)).astype(np.int16)[None, :],
+            stepped=one_group(((t % 2**17 + 1) / (2**17 + 1.0))[None, :],
+                              (t % (n + 1)).astype(np.int16)[None, :]),
             convergence_rounds=np.zeros(1, dtype=np.int64),
             history=np.zeros((1, rounds + 1, 1), dtype=np.int16),
         )
@@ -279,6 +287,33 @@ class TestSummaries:
             assert [stats.mean.hex(), stats.sd.hex(), stats.ci95.hex(), stats.n] == [
                 row.mean.hex(), row.sd.hex(), row.ci95.hex(), row.n
             ]
+
+    def test_summaries_across_compactions(self):
+        # Drift under memory 3 converges a few replicates at a time, so the
+        # active set compacts again and again, and each round's runners are
+        # found among rows that an earlier compaction renumbered.
+        point = ParameterPoint(coordination_bias=1.0, content_sensitivity=0.0,
+                               memory_window=3.0)
+        batch = run_replicates(point, 300, MASTER, horizon=UntilConvergence(200),
+                               history=False)
+        assert len({id(rows) for rows, _, _ in batch.stepped}) - 1 >= 5
+        records = summarize_batch(batch)
+        metric_arrays = [getattr(batch, name) for name in ROUND_METRICS]
+        expected = []
+        for t in range(1, metric_arrays[0].shape[1] + 1):
+            runners = batch.n_rounds >= t
+            if np.count_nonzero(runners) < 2:
+                break
+            for name, values in zip(ROUND_METRICS, metric_arrays):
+                stats = metrics.aggregate(values[runners, t - 1])
+                expected.append((t, name, stats.mean.hex(), stats.sd.hex(),
+                                 stats.ci95.hex(), stats.n, 0))
+        conv = batch.convergence_rounds[batch.convergence_rounds > 0]
+        stats = metrics.aggregate(conv.astype(np.float64))
+        expected.append((0, TC_METRIC, stats.mean.hex(), stats.sd.hex(), stats.ci95.hex(),
+                         len(conv), 300 - len(conv)))
+        assert [(r.round_no, r.metric, r.mean.hex(), r.sd.hex(), r.ci95.hex(), r.n,
+                 r.censored_n) for r in records] == expected
 
     def test_open_ended_batches_add_convergence_row(self):
         batch = run_replicates(
