@@ -13,6 +13,7 @@ flags or configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -36,19 +37,22 @@ from .schedule import (
 
 BUILTIN_KINDS = tuple(kind.value for kind in ConnectivityKind)
 
-DEFAULT_CONFIG = {
-    "population_sizes": [8],
-    "connectivity": ["early", "mid", "late"],
-    "coordination_bias_levels": [round(0.1 * i, 1) for i in range(11)],
-    "content_bias_levels": [round(0.1 * i, 1) for i in range(11)],
-    "memory_levels": [1, 3, 5, "inf"],
-    "mutation_rate": 0.02,
-    "replicates": 1000,
-    "master_seed": 20240101,
-    "horizon_mode": "fixed",
-    "output_dir": "sweep_out",
-    "quality_mode": "random",
-}
+
+def _as_json(value):
+    """A SweepGrid default as the config writes it."""
+    if isinstance(value, tuple):
+        return [_as_json(v) for v in value]
+    if isinstance(value, ConnectivityKind):
+        return value.value
+    return "inf" if value == UNBOUNDED else value
+
+
+# SweepGrid's fields but quality_owner, which quality_mode sets, then the
+# keys that are not the grid's.
+DEFAULT_CONFIG = {f.name: _as_json(f.default) for f in dataclasses.fields(engine.SweepGrid)
+                  if f.name != "quality_owner"}
+DEFAULT_CONFIG.update(master_seed=20240101, horizon_mode="fixed", output_dir="sweep_out",
+                      quality_mode="random")
 
 
 def _memory_window(text: str) -> float:
@@ -162,10 +166,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _connectivity(value: str) -> ConnectivityKind | Schedule:
-    """A built-in kind by name, or the schedule loaded from a file path."""
+    """A built-in kind by name, or the schedule loaded from a regular file."""
     if value in BUILTIN_KINDS:
         return ConnectivityKind(value)
-    if not os.path.exists(value):
+    if not (isinstance(value, str) and os.path.isfile(value)):
         raise ConfigError(f"connectivity {value!r} is neither a built-in kind "
                           f"({', '.join(BUILTIN_KINDS)}) nor an existing schedule file")
     return load_schedule(value)
@@ -243,17 +247,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _is_int(v) -> bool:
-    """An integer that is not a JSON boolean (bool subclasses int)."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
-
-
 def _validated_config(path: str | None) -> dict:
-    """The merged, schema-checked sweep configuration."""
+    """The merged sweep configuration, checked as JSON only: SweepGrid.validate
+    and sweep check the values, and _connectivity each connectivity entry."""
     config = dict(DEFAULT_CONFIG)
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -268,59 +264,23 @@ def _validated_config(path: str | None) -> dict:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         config.update(user)
 
-    def fail(msg: str):
-        raise ConfigError(msg)
-
-    # Shapes and types only: SweepGrid.validate decides whether the grid runs.
-    sizes = config["population_sizes"]
-    if not (isinstance(sizes, list) and all(_is_int(n) for n in sizes)):
-        fail("population_sizes must be a list of integers")
-    conn = config["connectivity"]
-    if not (isinstance(conn, list) and all(isinstance(k, str) for k in conn)):
-        fail("connectivity must be a list of kinds or schedule paths")
-    for key in ("coordination_bias_levels", "content_bias_levels"):
-        if not (isinstance(config[key], list) and all(map(_is_number, config[key]))):
-            fail(f"{key} must be a list of numbers")
-    mem = config["memory_levels"]
-    if not (isinstance(mem, list) and all(_is_int(v) or v == "inf" for v in mem)):
-        fail("memory_levels must be a list of integers or \"inf\"")
-    if not _is_number(config["mutation_rate"]):
-        fail("mutation_rate must be a number")
-    if not _is_int(config["replicates"]):
-        fail("replicates must be an integer")
-    if not _is_int(config["master_seed"]):
-        fail("master_seed must be an integer")
+    for key in engine.SweepGrid.LEVELS:
+        if not isinstance(config[key], list):
+            raise ConfigError(f"{key} must be a list")
     if config["horizon_mode"] not in ("fixed", "until_convergence"):
-        fail("horizon_mode must be 'fixed' or 'until_convergence'")
+        raise ConfigError("horizon_mode must be 'fixed' or 'until_convergence'")
     if not isinstance(config["output_dir"], str) or not config["output_dir"]:
-        fail("output_dir must be a nonempty path")
+        raise ConfigError("output_dir must be a nonempty path")
     quality = config["quality_mode"]
     if quality != "random":
         if not (isinstance(quality, dict) and set(quality) == {"fixed_owner"}
-                and _is_int(quality["fixed_owner"])
-                and quality["fixed_owner"] >= 1):
-            fail("quality_mode must be \"random\" or {\"fixed_owner\": k} with k >= 1")
-        if any(quality["fixed_owner"] > n for n in sizes):
-            fail("fixed_owner exceeds a configured population size")
+                and type(quality["fixed_owner"]) is int and quality["fixed_owner"] >= 1):
+            raise ConfigError('quality_mode must be "random" or {"fixed_owner": k} with k >= 1')
+        # SweepGrid.validate refuses a size that is no integer.
+        if any(type(n) is int and quality["fixed_owner"] > n
+               for n in config["population_sizes"]):
+            raise ConfigError("fixed_owner exceeds a configured population size")
     return config
-
-
-def _grid_from_config(config: dict) -> engine.SweepGrid:
-    owner = None
-    if config["quality_mode"] != "random":
-        owner = config["quality_mode"]["fixed_owner"] - 1
-    return engine.SweepGrid(
-        population_sizes=tuple(config["population_sizes"]),
-        connectivity=tuple(_connectivity(v) for v in config["connectivity"]),
-        coordination_bias_levels=tuple(float(v) for v in config["coordination_bias_levels"]),
-        content_bias_levels=tuple(float(v) for v in config["content_bias_levels"]),
-        memory_levels=tuple(
-            UNBOUNDED if v == "inf" else v for v in config["memory_levels"]
-        ),
-        mutation_rate=float(config["mutation_rate"]),
-        replicates=config["replicates"],
-        quality_owner=owner,
-    )
 
 
 def config_digest(config: dict) -> str:
@@ -331,7 +291,13 @@ def config_digest(config: dict) -> str:
 
 def cmd_sweep(args) -> int:
     config = _validated_config(args.config)
-    grid = _grid_from_config(config)
+    quality = config["quality_mode"]
+    grid = engine.SweepGrid(**dict(
+        {key: tuple(config[key]) for key in engine.SweepGrid.LEVELS},
+        connectivity=tuple(map(_connectivity, config["connectivity"])),
+        memory_levels=tuple(UNBOUNDED if v == "inf" else v for v in config["memory_levels"]),
+        mutation_rate=config["mutation_rate"], replicates=config["replicates"],
+        quality_owner=None if quality == "random" else quality["fixed_owner"] - 1))
     horizon = (
         engine.UntilConvergence()
         if config["horizon_mode"] == "until_convergence"

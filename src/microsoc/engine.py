@@ -124,27 +124,10 @@ class ParameterPoint:
 
     def validate(self) -> Schedule:
         """Raise unless the point can run; return the schedule it steps."""
-        for name in ("n_agents", "memory_window", "quality_owner"):
-            _refuse_bool(name, getattr(self, name))
-        n = self.n_agents
-        if not isinstance(n, Integral):
-            raise InvalidParamsError(f"n_agents must be an integer, got {n!r}")
-        if n > _MAX_AGENTS:
-            raise InvalidParamsError(f"n_agents must be at most {_MAX_AGENTS}, got {n}")
-        for name in ("coordination_bias", "content_sensitivity", "mutation_rate"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, Real) and 0.0 <= v <= 1.0):
-                raise InvalidParamsError(f"{name} must lie in [0, 1], got {v!r}")
-        m = self.memory_window
-        # Output labels a window through float, exact up to 2**53.
-        if m != UNBOUNDED and not (
-            isinstance(m, (Integral, float)) and 1 <= m <= 2**53 and m == int(m)
-        ):
-            raise InvalidParamsError(
-                f"memory_window must be a positive integer of at most 2**53 or "
-                f"unbounded, got {m!r}"
-            )
-        owner = self.quality_owner
+        for name, rule in _FIELD_RULES.items():
+            rule(name, getattr(self, name))
+        n, owner = self.n_agents, self.quality_owner
+        _refuse_bool("quality_owner", owner)
         if owner is not None and not (isinstance(owner, Integral) and 0 <= owner < n):
             raise InvalidParamsError(
                 f"quality owner {owner!r} outside population of {n}"
@@ -173,6 +156,48 @@ def _refuse_bool(name: str, value) -> None:
     """bool is Integral, so True would otherwise pass for the integer 1."""
     if isinstance(value, bool):
         raise InvalidParamsError(f"{name} must not be a bool, got {value!r}")
+
+
+# One rule per point field, which holds whatever the other fields are and
+# raises InvalidParamsError naming the field: ParameterPoint.validate applies
+# the rules to a point, and SweepGrid.validate to each level of a grid.
+def _check_integer(name: str, v) -> None:
+    _refuse_bool(name, v)
+    if not isinstance(v, Integral):
+        raise InvalidParamsError(f"{name} must be an integer, got {v!r}")
+
+
+def _check_population(name: str, n) -> None:
+    _check_integer(name, n)
+    if n > _MAX_AGENTS:
+        raise InvalidParamsError(f"{name} must be at most {_MAX_AGENTS}, got {n}")
+
+
+def _check_connectivity(name: str, kind) -> None:
+    if not (isinstance(kind, Schedule) or kind in list(ConnectivityKind)):
+        raise InvalidParamsError(f"{name} must be a built-in kind or a Schedule, got {kind!r}")
+
+
+def _check_unit(name: str, v) -> None:
+    if isinstance(v, bool) or not (isinstance(v, Real) and 0.0 <= v <= 1.0):
+        raise InvalidParamsError(f"{name} must lie in [0, 1], got {v!r}")
+
+
+def _check_window(name: str, m) -> None:
+    _refuse_bool(name, m)
+    # Output labels a window through float, exact up to 2**53.
+    if m != UNBOUNDED and not (
+        isinstance(m, (Integral, float)) and 1 <= m <= 2**53 and m == int(m)
+    ):
+        raise InvalidParamsError(f"{name} must be a positive integer of at most 2**53 "
+                                 f"or unbounded, got {m!r}")
+
+
+# ParameterPoint's fields in order but quality_owner, whose range depends on
+# n_agents; SweepGrid.LEVELS hold the levels of the first five.
+_FIELD_RULES = dict(n_agents=_check_population, connectivity=_check_connectivity,
+                    coordination_bias=_check_unit, content_sensitivity=_check_unit,
+                    memory_window=_check_window, mutation_rate=_check_unit)
 
 
 def horizon_rounds(horizon: Horizon, cycle: int) -> int:
@@ -325,6 +350,7 @@ def run_replicates(
     # A bool is Integral, but np.empty refuses it as a dimension.
     if isinstance(replicates, bool) or not isinstance(replicates, Integral) or replicates < 1:
         raise InvalidReplicatesError(f"replicates must be an integer >= 1, got {replicates!r}")
+    _check_integer("master_seed", master_seed)
     # An array, not a numpy scalar: uint64 scalar arithmetic warns on wraparound.
     master = np.array([master_seed & rng.MASK64], dtype=np.uint64)
     seeds = rng.absorb_np(master, point_index, np.arange(replicates))
@@ -472,12 +498,13 @@ def run_replicates(
             # A converged replicate's n_rounds is final from here on, so it
             # retires. Retirees keep being stepped until a quarter of the set
             # has retired; what they compute meanwhile lands past n_rounds,
-            # where the fill below overwrites it.
+            # where the fill below overwrites it. After the last round no
+            # round reads the set, so it is left as it is.
             keep = conv[active] == 0
             kept = int(np.count_nonzero(keep))
             if kept == 0:
                 break
-            if 4 * (k - kept) >= k:
+            if 4 * (k - kept) >= k and t < max_rounds:
                 # Compact in place: variant row x of the kept columns moves to
                 # [x * kept_n, (x + 1) * kept_n) of the buffer, at or before
                 # where it was. Moving the rows first to last, each from a
@@ -518,13 +545,15 @@ def run_replicates(
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """The cartesian parameter grid of a sweep.
+    """The cartesian parameter grid of a sweep: the CLI's config takes its
+    keys and defaults from these fields.
 
     Points enumerate in the fixed order (n_agents, connectivity, coordination,
     content, memory); the index of a point in that order keys its run seeds.
-    Each level field is non-empty and repeats no level, and connectivity
-    holds at most one Schedule (output labels every Schedule "custom"), so
-    summary rows are told apart by their levels; replicates is at least 2.
+    Each level field is non-empty and repeats no level, and each level obeys
+    the rule of the ParameterPoint field it sets. connectivity holds at most
+    one Schedule (output labels every Schedule "custom"), so summary rows are
+    told apart by their levels; replicates is at least 2.
     """
 
     # The level fields in nesting order, that of ParameterPoint's first five.
@@ -544,11 +573,14 @@ class SweepGrid:
 
     def validate(self) -> tuple[Schedule, ...]:
         """Raise, naming the field, unless the sweep can run: sweep's first step.
-        Return the distinct schedules that the points resolved."""
-        for name in self.LEVELS:
+        Each level meets its point field's rule before the levels are
+        compared. Return the distinct schedules that the points resolved."""
+        for name, field in zip(self.LEVELS, _FIELD_RULES):
             levels = getattr(self, name)
             if not levels:
                 raise InvalidParamsError(f"{name} needs at least one level")
+            for level in levels:
+                _FIELD_RULES[field](f"{name}: {field}", level)
             if len(set(levels)) != len(levels):
                 raise InvalidParamsError(f"{name} must not repeat a level")
         if not isinstance(self.replicates, Integral) or self.replicates < 2:
@@ -618,13 +650,14 @@ def sweep(
     The sink must provide start_index(n_points) -> int, which is given the
     grid's point count, wants_runs() -> bool, write_point(point_index,
     runs_text, summaries) and finalize(), which is called whatever happens,
-    even when no point is left. The grid, and the horizon against each of its
-    schedules, are checked before start_index, the sink's first effect, so a
-    sweep that cannot run leaves earlier output untouched. Output bytes
-    depend only on grid, master_seed, and horizon: never on workers or resume
-    splits.
+    even when no point is left. The master seed, an integer, the grid, and
+    the horizon against each of its schedules are checked before start_index,
+    the sink's first effect, so a sweep that cannot run leaves earlier output
+    untouched. Output bytes depend only on grid, master_seed, and horizon:
+    never on workers or resume splits.
     """
     try:
+        _check_integer("master_seed", master_seed)
         for schedule in grid.validate():
             horizon_rounds(horizon, schedule.n_rounds)
         points = grid.points()

@@ -178,6 +178,12 @@ class TestSimulate:
         assert "'erly'" in err and "early, mid, late" in err
         assert not out_file.exists()
 
+    def test_a_directory_is_not_a_schedule_file(self, capsys, tmp_path):
+        # Exit 1 would say that I/O failed and the run could be retried.
+        code, _, err = run_cli(capsys, "simulate", "--connectivity", str(tmp_path))
+        assert code == 2
+        assert "nor an existing schedule file" in err
+
     def test_readme_quick_start_output_matches(self, capsys):
         readme = README.read_text(encoding="utf-8")
         section = readme.split("## Command-line quick start\n")[1].split("\n## ")[0]
@@ -388,6 +394,13 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", str(config))
         assert code == 2
         assert "at most one custom schedule" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_directory_is_not_a_schedule_file(self, capsys, tmp_path):
+        config = small_config(tmp_path, connectivity=[str(tmp_path)])
+        code, _, err = run_cli(capsys, "sweep", str(config))
+        assert code == 2
+        assert "nor an existing schedule file" in err
         assert not (tmp_path / "out").exists()
 
     def test_empty_levels_rejected(self, capsys, tmp_path):
@@ -623,13 +636,37 @@ class TestSweep:
         assert code == 2
         assert "typo_key" in err
 
-    def test_default_config_matches_full_grid_size(self):
-        from microsoc.cli import _grid_from_config, _validated_config
+    def test_default_config_matches_full_grid_size(self, capsys, tmp_path, monkeypatch):
+        # Without a config, the CLI sweeps SweepGrid's defaults.
+        seen = {}
 
-        grid = _grid_from_config(_validated_config(None))
+        def sweep(grid, master_seed, sink, **kw):
+            seen.update(grid=grid)
+            sink.finalize()
+
+        monkeypatch.setattr(engine, "sweep", sweep)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "sweep")[0] == 0
+        grid = seen["grid"]
+        assert grid == engine.SweepGrid()
         assert len(grid.points()) == 1452
         assert grid.replicates == 1000
         assert DEFAULT_CONFIG["mutation_rate"] == 0.02
+
+    @pytest.mark.parametrize("overrides", [
+        *({key: levels} for key in engine.SweepGrid.LEVELS
+          for levels in (["8"], [[8]], [{}], [None])),
+        # The owner is compared with the sizes only where they are integers.
+        {"population_sizes": ["8"], "quality_mode": {"fixed_owner": 1}},
+    ], ids=repr)
+    def test_a_level_of_another_type_exits_2_naming_its_key(
+        self, capsys, tmp_path, overrides
+    ):
+        code, _, err = run_cli(capsys, "sweep", str(small_config(tmp_path, **overrides)))
+        assert code == 2
+        assert next(iter(overrides)) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 def cli_command(*argv, **env):

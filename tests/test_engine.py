@@ -27,7 +27,7 @@ from microsoc.errors import (
     ScheduleValidationError,
     UnsupportedKindError,
 )
-from microsoc.output import MemorySink, summarize_batch, summary_block
+from microsoc.output import CsvSweepSink, MemorySink, summarize_batch, summary_block
 from microsoc.schedule import ConnectivityKind, Schedule, builtin_schedule
 
 from oracles import scalar_run
@@ -81,11 +81,12 @@ def two_matchings(n):
 
 def compactions(batch):
     """How often the kernel compacted the batch's active set, from its
-    convergence rounds: after each round from the cycle's last on, once a
-    quarter of the set has converged, the set drops those replicates."""
+    convergence rounds: after each round from the cycle's last on but the
+    horizon's last, once a quarter of the set has converged, the set drops
+    those replicates, and a later round steps the rest."""
     left = batch.convergence_rounds
     count = 0
-    for t in range(batch.point.validate().n_rounds, batch.entropy.shape[1] + 1):
+    for t in range(batch.point.validate().n_rounds, batch.horizon.max_rounds):
         done = (left > 0) & (left <= t)
         if done.all():
             break
@@ -441,6 +442,27 @@ class TestActiveSet:
             assert (batch.productions[r, : n + 1] >= 0).all()
             assert (batch.productions[r, n + 1 :] == -1).all()
 
+    @pytest.mark.parametrize("replicates", [300, 1000])
+    def test_the_set_is_compacted_only_for_a_later_round(self, monkeypatch, replicates):
+        # Drift under memory 3 to the 200-round cap: a quarter of the set has
+        # newly converged after round 200, where no round reads a compaction.
+        # The kernel compacts with np.repeat of its boolean keep mask.
+        masks = []
+        repeat = np.repeat
+
+        def counting(a, *args, **kwargs):
+            if np.asarray(a).dtype == bool:
+                masks.append(a)
+            return repeat(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "repeat", counting)
+        batch = run_replicates(self.POINT, replicates, MASTER,
+                               horizon=UntilConvergence(200))
+        monkeypatch.undo()
+        row_sets = len({id(rows) for rows, _, _ in batch.stepped})
+        assert batch.entropy.shape[1] == 200
+        assert compactions(batch) == row_sets - 1 == len(masks)
+
     @pytest.mark.parametrize("master", [0, MASTER, 2**64 - 1, 2**70 + 5, -3])
     def test_vectorized_seeds_equal_scalar_derivation(self, master):
         batch = run_replicates(ParameterPoint(), 5, master, point_index=9)
@@ -515,6 +537,22 @@ class TestValidationAndShapes:
         # bool is Integral: True would otherwise run as 1.
         with pytest.raises(InvalidParamsError, match=rf"^{field} must not be a bool"):
             run_replicates(point, 2, MASTER, horizon=horizon)
+
+    @pytest.mark.parametrize("seed", [True, 2.5, "3", None], ids=repr)
+    def test_a_master_seed_must_be_an_integer(self, tmp_path, seed):
+        # True would run as seed 1; the others failed inside the seed mixing.
+        with pytest.raises(InvalidParamsError, match="^master_seed must "):
+            run_replicates(ParameterPoint(), 2, seed)
+        grid = SweepGrid(coordination_bias_levels=(0.5,), content_bias_levels=(0.0,),
+                         memory_levels=(3,), connectivity=(ConnectivityKind.EARLY,),
+                         replicates=2)
+        out = tmp_path / "out"
+        sweep(grid, MASTER, CsvSweepSink(out, "digest"))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(before) == 3
+        with pytest.raises(InvalidParamsError, match="^master_seed must "):
+            sweep(grid, seed, CsvSweepSink(out, "digest"))
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_numpy_integer_memory_window_accepted(self):
         point = ParameterPoint(memory_window=3)
@@ -769,6 +807,14 @@ class TestSweepGrid:
             SweepGrid(**{field: value}).validate()
         if field == "replicates":
             assert "an integer of at least 2" in str(info.value)
+
+    @pytest.mark.parametrize("field", SweepGrid.LEVELS)
+    @pytest.mark.parametrize("level", [[0.5], {}, None, True, "8"], ids=repr)
+    def test_a_level_of_another_type_is_refused_naming_its_field(self, field, level):
+        # Each level meets its point field's rule before the levels are
+        # compared: a list level used to fail the repeat check's set().
+        with pytest.raises(InvalidParamsError, match=rf"^{field}: "):
+            SweepGrid(**{field: (level,)}).validate()
 
     def test_small_sweep_through_memory_sink(self):
         grid = SweepGrid(
