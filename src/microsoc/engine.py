@@ -63,8 +63,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import metrics, output, rng
-from .errors import (InvalidParamsError, InvalidReplicatesError, MicrosocError,
-                     ScheduleValidationError)
+from .errors import InvalidParamsError, MicrosocError, ScheduleValidationError
 from .schedule import (BUILTIN_SIZES, ConnectivityKind, Schedule, builtin_schedule,
                        validate_schedule)
 
@@ -349,11 +348,14 @@ def run_replicates(
     """
     # A bool is Integral, but np.empty refuses it as a dimension.
     if isinstance(replicates, bool) or not isinstance(replicates, Integral) or replicates < 1:
-        raise InvalidReplicatesError(f"replicates must be an integer >= 1, got {replicates!r}")
+        raise InvalidParamsError(f"replicates must be an integer >= 1, got {replicates!r}")
     _check_integer("master_seed", master_seed)
-    # An array, not a numpy scalar: uint64 scalar arithmetic warns on wraparound.
-    master = np.array([master_seed & rng.MASK64], dtype=np.uint64)
-    seeds = rng.absorb_np(master, point_index, np.arange(replicates))
+    _check_integer("point_index", point_index)
+    # Reduced as Python ints, as rng.seed_derive does: a numpy integer would
+    # overflow at the mask. An array, not a numpy scalar: uint64 scalar
+    # arithmetic warns on wraparound.
+    master = np.array([int(master_seed) & rng.MASK64], dtype=np.uint64)
+    seeds = rng.absorb_np(master, int(point_index) & rng.MASK64, np.arange(replicates))
     schedule = point.validate()
     n = point.n_agents
     n_variants = n
@@ -577,6 +579,10 @@ class SweepGrid:
         compared. Return the distinct schedules that the points resolved."""
         for name, field in zip(self.LEVELS, _FIELD_RULES):
             levels = getattr(self, name)
+            # Not a set: the levels' order decides the point indices.
+            if not isinstance(levels, (tuple, list)):
+                raise InvalidParamsError(f"{name} must be a tuple or list of levels, "
+                                         f"got {levels!r}")
             if not levels:
                 raise InvalidParamsError(f"{name} needs at least one level")
             for level in levels:
@@ -584,7 +590,7 @@ class SweepGrid:
             if len(set(levels)) != len(levels):
                 raise InvalidParamsError(f"{name} must not repeat a level")
         if not isinstance(self.replicates, Integral) or self.replicates < 2:
-            raise InvalidReplicatesError(
+            raise InvalidParamsError(
                 f"replicates must be an integer of at least 2, since a summary "
                 f"row needs two runs; got {self.replicates!r}"
             )
@@ -650,14 +656,18 @@ def sweep(
     The sink must provide start_index(n_points) -> int, which is given the
     grid's point count, wants_runs() -> bool, write_point(point_index,
     runs_text, summaries) and finalize(), which is called whatever happens,
-    even when no point is left. The master seed, an integer, the grid, and
-    the horizon against each of its schedules are checked before start_index,
-    the sink's first effect, so a sweep that cannot run leaves earlier output
-    untouched. Output bytes depend only on grid, master_seed, and horizon:
-    never on workers or resume splits.
+    even when no point is left. The master seed, an integer; workers, an
+    integer of at least 1; the grid; and the horizon against each of its
+    schedules are checked before start_index, the sink's first effect, so a
+    sweep that cannot run leaves earlier output untouched. Output bytes
+    depend only on grid, master_seed, and horizon: never on workers or
+    resume splits.
     """
     try:
         _check_integer("master_seed", master_seed)
+        _check_integer("workers", workers)
+        if workers < 1:
+            raise InvalidParamsError(f"workers must be at least 1, got {workers}")
         for schedule in grid.validate():
             horizon_rounds(horizon, schedule.n_rounds)
         points = grid.points()

@@ -1,8 +1,11 @@
 """Exception types raised across the simulator.
 
 Everything derives from MicrosocError so callers can catch the package's own
-failures without swallowing genuine bugs. Most are also ValueError subclasses
-because they signal bad inputs.
+failures without swallowing genuine bugs; the CLI maps it to exit 2. A bad
+argument raises InvalidParamsError, a bad configuration, checkpoint or input
+file ConfigError, and a bad schedule file ScheduleParseError or
+ScheduleValidationError, which carry where and what failed. All are also
+ValueError subclasses because they signal bad inputs.
 """
 
 from __future__ import annotations
@@ -13,31 +16,7 @@ class MicrosocError(Exception):
 
 
 class InvalidParamsError(MicrosocError, ValueError):
-    """A model parameter is outside its legal range."""
-
-
-class SeriesTooShortError(MicrosocError, ValueError):
-    """A series operation needs more points than were given."""
-
-
-class InsufficientDataError(MicrosocError, ValueError):
-    """Aggregation needs at least two values."""
-
-
-class InvalidReplicatesError(MicrosocError, ValueError):
-    """The requested replicate count is not a positive integer."""
-
-
-class UnsupportedKindError(MicrosocError, ValueError):
-    """No built-in pairing schedule of this kind exists for this population size."""
-
-
-class UnsupportedSizeError(MicrosocError, ValueError):
-    """Built-in pairing schedules only exist for certain population sizes."""
-
-
-class UnknownAgentError(MicrosocError, ValueError):
-    """An agent id is outside the population."""
+    """An argument is out of range or of the wrong type."""
 
 
 class ScheduleParseError(MicrosocError, ValueError):
@@ -58,9 +37,6 @@ class ScheduleValidationError(MicrosocError, ValueError):
         super().__init__(f"invalid schedule: {lines}")
 
 
-class SchemaError(MicrosocError, ValueError):
-    """A CSV file does not match the expected column schema."""
-
-
 class ConfigError(MicrosocError, ValueError):
-    """A sweep configuration file is invalid."""
+    """A configuration, checkpoint or input file, or a combination of flags,
+    is invalid."""

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidParamsError, SeriesTooShortError
+from .errors import InvalidParamsError
 
 
 def count_terms(counts, total) -> np.ndarray:
@@ -86,7 +86,7 @@ def aggregate_rows(table: np.ndarray) -> list[AggregateStats]:
     table = np.ascontiguousarray(table, dtype=np.float64)
     n = table.shape[1]
     if n < 2:
-        raise InsufficientDataError(f"need at least 2 values, got {n}")
+        raise InvalidParamsError(f"need at least 2 values, got {n}")
     mean = np.add.reduce(table, axis=1, keepdims=True) / n
     d = table - mean
     d *= d
@@ -109,10 +109,10 @@ def pooled(stats: Sequence[AggregateStats]) -> AggregateStats:
     aggregating the raw values (up to float round-off).
     """
     if not stats:
-        raise InsufficientDataError("nothing to pool")
+        raise InvalidParamsError("nothing to pool")
     total_n = sum(s.n for s in stats)
     if total_n < 2:
-        raise InsufficientDataError("pooled sample needs at least 2 values")
+        raise InvalidParamsError("pooled sample needs at least 2 values")
     mean = sum(s.n * s.mean for s in stats) / total_n
     ss = sum((s.n - 1) * s.sd**2 + s.n * (s.mean - mean) ** 2 for s in stats)
     sd = math.sqrt(max(ss, 0.0) / (total_n - 1))
@@ -125,7 +125,7 @@ def detect_bursts(series: Sequence[float], prominence: float = 0.01) -> list[int
     Endpoints are compared one-sided (only against their single neighbour).
     """
     if len(series) < 3:
-        raise SeriesTooShortError("burst detection needs at least three points")
+        raise InvalidParamsError("burst detection needs at least three points")
     if prominence < 0:
         raise InvalidParamsError(f"prominence must be nonnegative, got {prominence}")
     out = []

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError
 
 RUNS_HEADER = (
     "run_id,run_seed,n_agents,connectivity,content_bias,coordination_bias,"
@@ -210,7 +210,7 @@ def summary_block(records) -> str:
 
 def _check_header(row, expected: str, path) -> None:
     if row is None or ",".join(row) != expected:
-        raise SchemaError(
+        raise ConfigError(
             f"{path}: header mismatch, expected {expected!r}"
         )
 
@@ -222,7 +222,7 @@ def read_summary(path) -> list[SummaryRecord]:
         out = []
         for row in reader:
             if len(row) != 13:
-                raise SchemaError(f"{path}: expected 13 columns, got {len(row)}")
+                raise ConfigError(f"{path}: expected 13 columns, got {len(row)}")
             try:
                 out.append(
                     SummaryRecord(
@@ -235,7 +235,7 @@ def read_summary(path) -> list[SummaryRecord]:
                     )
                 )
             except ValueError as exc:
-                raise SchemaError(f"{path}: bad value in row {row!r}: {exc}") from None
+                raise ConfigError(f"{path}: bad value in row {row!r}: {exc}") from None
         return out
 
 

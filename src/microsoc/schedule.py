@@ -27,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ScheduleParseError,
-    ScheduleValidationError,
-    UnknownAgentError,
-    UnsupportedKindError,
-    UnsupportedSizeError,
-)
+from .errors import InvalidParamsError, ScheduleParseError, ScheduleValidationError
 
 Pair = tuple[int, int]
 Matching = tuple[Pair, ...]
@@ -153,7 +147,7 @@ def builtin_schedule(kind: ConnectivityKind | str, n_agents: int) -> Schedule:
     """One of the built-in schedules; raises for unsupported combinations."""
     kind = ConnectivityKind(kind)
     if n_agents not in BUILTIN_SIZES:
-        raise UnsupportedSizeError(
+        raise InvalidParamsError(
             f"built-in schedules exist for {BUILTIN_SIZES}, not {n_agents} agents"
         )
     if n_agents == 8:
@@ -164,7 +158,7 @@ def builtin_schedule(kind: ConnectivityKind | str, n_agents: int) -> Schedule:
         }[kind]
         return _from_one_based(8, table)
     if kind is ConnectivityKind.MID:
-        raise UnsupportedKindError(
+        raise InvalidParamsError(
             f"mid connectivity is only defined for 8 agents, not {n_agents}"
         )
     if kind is ConnectivityKind.EARLY:
@@ -253,7 +247,7 @@ def reachability_profile(schedule: Schedule, source: int) -> list[int]:
     the set contains everyone whose chain of partners touches the source.
     """
     if not 0 <= source < schedule.n_agents:
-        raise UnknownAgentError(
+        raise InvalidParamsError(
             f"agent {source} outside population of {schedule.n_agents}"
         )
     reached = {source}

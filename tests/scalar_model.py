@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from microsoc.engine import UNBOUNDED
-from microsoc.errors import InvalidParamsError, MicrosocError, SeriesTooShortError
+from microsoc.errors import InvalidParamsError, MicrosocError
 from microsoc.metrics import count_terms, entropy_from_terms
 from microsoc.rng import STREAM_OWNER, STREAM_PRODUCTION, absorb
 
@@ -333,7 +333,7 @@ def adaptiveness(productions: Sequence[int], high_quality: Iterable[int]) -> flo
 def delta_adaptiveness(series: Sequence[float]) -> list[float]:
     """First differences of an adaptiveness series (one element shorter)."""
     if len(series) < 2:
-        raise SeriesTooShortError("need at least two rounds to difference")
+        raise InvalidParamsError("need at least two rounds to difference")
     return [float(series[t] - series[t - 1]) for t in range(1, len(series))]
 
 

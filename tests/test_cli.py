@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import microsoc
-from microsoc import cli, engine, metrics, rng
+from microsoc import cli, engine, errors, metrics, rng
 from microsoc.cli import DEFAULT_CONFIG, _validated_config, main
 from microsoc.output import SUMMARY_HEADER, CsvSweepSink, read_summary
 from microsoc.schedule import builtin_schedule, export_schedule, load_schedule
@@ -623,6 +623,11 @@ class TestSweep:
         assert public_functions(rng) == [
             "absorb", "absorb_np", "mix64", "mix64_np", "production_keys_np",
             "production_uniform_np", "seed_derive", "to_unit_np",
+        ]
+        assert sorted(name for name, obj in vars(errors).items()
+                      if inspect.isclass(obj) and obj.__module__ == errors.__name__) == [
+            "ConfigError", "InvalidParamsError", "MicrosocError",
+            "ScheduleParseError", "ScheduleValidationError",
         ]
         readme = README.read_text(encoding="utf-8")
         block = re.search(r"## Using the library\n\n```python\n(.*?)```", readme, re.S)

@@ -20,13 +20,7 @@ from microsoc.engine import (
     run_replicates,
     sweep,
 )
-from microsoc.errors import (
-    InvalidParamsError,
-    InvalidReplicatesError,
-    MicrosocError,
-    ScheduleValidationError,
-    UnsupportedKindError,
-)
+from microsoc.errors import InvalidParamsError, MicrosocError, ScheduleValidationError
 from microsoc.output import CsvSweepSink, MemorySink, summarize_batch, summary_block
 from microsoc.schedule import ConnectivityKind, Schedule, builtin_schedule
 
@@ -463,11 +457,15 @@ class TestActiveSet:
         assert batch.entropy.shape[1] == 200
         assert compactions(batch) == row_sets - 1 == len(masks)
 
-    @pytest.mark.parametrize("master", [0, MASTER, 2**64 - 1, 2**70 + 5, -3])
-    def test_vectorized_seeds_equal_scalar_derivation(self, master):
-        batch = run_replicates(ParameterPoint(), 5, master, point_index=9)
+    # Any integer runs, numpy's and those outside [0, 2**64) too.
+    @pytest.mark.parametrize("master,point_index", [
+        *((master, 9) for master in (0, MASTER, 2**64 - 1, 2**70 + 5, -3)),
+        (np.int64(5), 9), (np.int64(-1), 9), (MASTER, -1), (MASTER, 2**64 + 3),
+    ], ids=repr)
+    def test_vectorized_seeds_equal_scalar_derivation(self, master, point_index):
+        batch = run_replicates(ParameterPoint(), 5, master, point_index=point_index)
         assert [int(s) for s in batch.run_seeds] == [
-            rng.seed_derive(master, 9, r) for r in range(5)
+            rng.seed_derive(int(master), point_index, r) for r in range(5)
         ]
 
 
@@ -516,12 +514,12 @@ class TestHistoryFree:
 
 class TestValidationAndShapes:
     def test_zero_replicates_rejected(self):
-        with pytest.raises(InvalidReplicatesError):
+        with pytest.raises(InvalidParamsError, match="an integer >= 1"):
             run_replicates(ParameterPoint(), 0, MASTER)
 
     @pytest.mark.parametrize("replicates", [np.int64(0), 5.0, "5", True], ids=repr)
     def test_replicates_must_be_a_positive_integer(self, replicates):
-        with pytest.raises(InvalidReplicatesError, match="an integer >= 1, got"):
+        with pytest.raises(InvalidParamsError, match="an integer >= 1, got"):
             run_replicates(ParameterPoint(), replicates, MASTER)
 
     @pytest.mark.parametrize("point,horizon,field", [
@@ -552,6 +550,26 @@ class TestValidationAndShapes:
         assert len(before) == 3
         with pytest.raises(InvalidParamsError, match="^master_seed must "):
             sweep(grid, seed, CsvSweepSink(out, "digest"))
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize("point_index", [True, 2.5, "3", None], ids=repr)
+    def test_a_point_index_must_be_an_integer(self, point_index):
+        with pytest.raises(InvalidParamsError, match="^point_index must "):
+            run_replicates(ParameterPoint(), 2, MASTER, point_index=point_index)
+
+    @pytest.mark.parametrize("workers", [2.5, "2", True, 0, -1, None], ids=repr)
+    def test_workers_must_be_an_integer_of_at_least_1(self, tmp_path, workers):
+        # Checked before the sink's first effect, which cuts a finished
+        # directory back to its headers.
+        grid = SweepGrid(coordination_bias_levels=(0.5,), content_bias_levels=(0.0,),
+                         memory_levels=(3,), connectivity=(ConnectivityKind.EARLY,),
+                         replicates=2)
+        out = tmp_path / "out"
+        sweep(grid, MASTER, CsvSweepSink(out, "digest"))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(before) == 3
+        with pytest.raises(InvalidParamsError, match="^workers must "):
+            sweep(grid, MASTER, CsvSweepSink(out, "digest"), workers=workers)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_numpy_integer_memory_window_accepted(self):
@@ -616,7 +634,7 @@ class TestValidationAndShapes:
 
     def test_validate_resolves_the_schedule(self):
         # Every field is in range, but mid exists only for 8 agents.
-        with pytest.raises(UnsupportedKindError, match="mid"):
+        with pytest.raises(InvalidParamsError, match="mid"):
             ParameterPoint(n_agents=16, connectivity="mid").validate()
 
     def test_validate_returns_the_schedule_it_resolved(self):
@@ -797,6 +815,10 @@ class TestSweepGrid:
         )
         for kind, value in (("empty", ()), ("repeated", repeated))
     ] + [
+        pytest.param(field, value, id=f"{field}-{value!r}")
+        for field, value in (("population_sizes", 8), ("connectivity", "early"),
+                             ("memory_levels", {3}))
+    ] + [
         pytest.param("replicates", 0, id="replicates-0"),
         pytest.param("replicates", 1, id="replicates-1"),
         pytest.param("replicates", np.int64(1), id="replicates-int64-1"),
@@ -807,6 +829,8 @@ class TestSweepGrid:
             SweepGrid(**{field: value}).validate()
         if field == "replicates":
             assert "an integer of at least 2" in str(info.value)
+        elif not isinstance(value, (tuple, list)):
+            assert "tuple or list" in str(info.value)
 
     @pytest.mark.parametrize("field", SweepGrid.LEVELS)
     @pytest.mark.parametrize("level", [[0.5], {}, None, True, "8"], ids=repr)

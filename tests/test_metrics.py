@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from microsoc import metrics
-from microsoc.errors import InsufficientDataError, InvalidParamsError, SeriesTooShortError
+from microsoc.errors import InvalidParamsError
 from scalar_model import (
     EmptyRoundError,
     LengthMismatchError,
@@ -124,7 +124,7 @@ class TestDeltaAdaptiveness:
         assert deltas == [-0.25]
 
     def test_too_short_rejected(self):
-        with pytest.raises(SeriesTooShortError):
+        with pytest.raises(InvalidParamsError, match="at least two rounds"):
             delta_adaptiveness([0.5])
 
     @given(st.lists(st.integers(0, 8), min_size=2, max_size=10))
@@ -161,7 +161,7 @@ class TestAggregate:
         assert stats.ci95 == pytest.approx(1.96, abs=1e-12)
 
     def test_single_value_rejected(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InvalidParamsError, match="at least 2 values"):
             metrics.aggregate([1.0])
 
     def test_pooling_equals_concatenation(self):
@@ -218,7 +218,7 @@ class TestDetectBursts:
         assert metrics.detect_bursts(series, 0.05) == [4]
 
     def test_too_short_rejected(self):
-        with pytest.raises(SeriesTooShortError):
+        with pytest.raises(InvalidParamsError, match="at least three points"):
             metrics.detect_bursts([0.1, 0.2], 0.05)
 
     @given(

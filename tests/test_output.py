@@ -21,7 +21,7 @@ from microsoc.engine import (
     run_replicates,
     sweep,
 )
-from microsoc.errors import ConfigError, InvalidParamsError, SchemaError
+from microsoc.errors import ConfigError, InvalidParamsError
 from microsoc.output import (
     CsvSweepSink,
     MemorySink,
@@ -235,7 +235,7 @@ class TestSummaries:
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "summary.csv"
         path.write_text(SUMMARY_HEADER.rsplit(",", 1)[0] + "\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError, match="header mismatch"):
             read_summary(path)
 
     def test_recompute_from_raw_matches_exactly(self, tmp_path):

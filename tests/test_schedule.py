@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microsoc.errors import (
-    ScheduleParseError,
-    ScheduleValidationError,
-    UnknownAgentError,
-    UnsupportedKindError,
-    UnsupportedSizeError,
-)
+from microsoc.errors import InvalidParamsError, ScheduleParseError, ScheduleValidationError
 from microsoc.schedule import (
     ConnectivityKind,
     Schedule,
@@ -121,9 +115,9 @@ class TestBuiltinTables:
             assert len(profiles) == 1
 
     def test_unsupported_combinations(self):
-        with pytest.raises(UnsupportedKindError):
+        with pytest.raises(InvalidParamsError, match="only defined for 8 agents"):
             builtin_schedule(ConnectivityKind.MID, 16)
-        with pytest.raises(UnsupportedSizeError):
+        with pytest.raises(InvalidParamsError, match="built-in schedules exist for"):
             builtin_schedule(ConnectivityKind.EARLY, 10)
 
     def test_kind_accepts_strings(self):
@@ -159,9 +153,9 @@ class TestValidation:
 
     def test_reach_source_out_of_range(self):
         sched = builtin_schedule(ConnectivityKind.EARLY, 8)
-        with pytest.raises(UnknownAgentError):
+        with pytest.raises(InvalidParamsError, match="outside population"):
             reachability_profile(sched, 8)
-        with pytest.raises(UnknownAgentError):
+        with pytest.raises(InvalidParamsError, match="outside population"):
             reachability_profile(sched, -1)
 
 
