@@ -90,40 +90,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # A point flag sets the ParameterPoint field named by its dest; an absent
+    # one leaves the field's default.
+    unset = dict(default=argparse.SUPPRESS)
     sim = sub.add_parser("simulate", help="run one parameter point")
-    sim.add_argument("--agents", type=int, default=None,
-                     help="population size (default 8, or the schedule file's)")
-    sim.add_argument("--connectivity", default="early",
-                     help="early|mid|late or a schedule file path")
-    sim.add_argument("--c", type=float, default=0.5,
+    sim.add_argument("--agents", dest="n_agents", metavar="AGENTS", type=int, **unset,
+                     help=f"population size (default {engine.ParameterPoint.n_agents}, "
+                     "or the schedule file's)")
+    sim.add_argument("--connectivity", **unset,
+                     help=f"{'|'.join(BUILTIN_KINDS)} or a schedule file path")
+    sim.add_argument("--c", dest="coordination_bias", metavar="C", type=float, **unset,
                      help="coordination bias in [0,1]")
-    sim.add_argument("--b", type=float, default=0.0,
+    sim.add_argument("--b", dest="content_sensitivity", metavar="B", type=float, **unset,
                      help="content bias sensitivity in [0,1]")
-    sim.add_argument("--memory", type=_memory_window, default=UNBOUNDED,
+    sim.add_argument("--memory", dest="memory_window", metavar="MEMORY",
+                     type=_memory_window, **unset,
                      help="memory window in rounds, or 'inf'")
-    sim.add_argument("--mu", type=float, default=0.02,
+    sim.add_argument("--mu", dest="mutation_rate", metavar="MU", type=float, **unset,
                      help="mutation rate in [0,1]")
     sim.add_argument("--seed", type=int, default=0, help="master seed")
-    sim.add_argument("--runs", type=_positive_int("runs"), default=1,
-                     help="independent replicates to run")
-    sim.add_argument("--quality-owner", type=_positive_int("quality owner"),
-                     default=None, metavar="AGENT",
+    sim.add_argument("--runs", type=int, default=1, help="independent replicates to run")
+    sim.add_argument("--quality-owner", type=_positive_int("quality owner"), **unset,
+                     metavar="AGENT",
                      help="1-based agent whose seed variant is high quality "
                      "(default: random per run)")
     horizon = sim.add_mutually_exclusive_group()
-    horizon.add_argument("--rounds", type=_positive_int("rounds"), default=None,
+    horizon.add_argument("--rounds", type=int, default=None,
                          help="fixed number of rounds (default: one round-robin)")
     horizon.add_argument("--until-convergence", action="store_true",
                          help="cycle the schedule until a round is unanimous")
-    sim.add_argument("--max-rounds", type=_positive_int("max rounds"), default=None,
-                     help="cap for --until-convergence (default 200)")
+    sim.add_argument("--max-rounds", type=int, default=None,
+                     help="cap for --until-convergence "
+                     f"(default {engine.UntilConvergence.max_rounds})")
     sim.add_argument("--out", default=None, help="write per-round records to this CSV")
     sim.set_defaults(func=cmd_simulate)
 
     swp = sub.add_parser("sweep", help="run a parameter grid into CSV files")
     swp.add_argument("config", nargs="?", default=None,
                      help="JSON config (omit for the default full grid)")
-    swp.add_argument("--threads", type=_positive_int("threads"), default=None,
+    swp.add_argument("--threads", type=int, default=None,
                      help="worker processes (default: available parallelism)")
     swp.add_argument("--resume", action="store_true",
                      help="continue an interrupted sweep from its checkpoint")
@@ -176,69 +181,57 @@ def _connectivity(value: str) -> ConnectivityKind | Schedule:
 
 
 def cmd_simulate(args) -> int:
-    connectivity = _connectivity(args.connectivity)
-    if args.agents is not None:
-        n_agents = args.agents  # a schedule file for another size fails validate()
-    else:
-        n_agents = connectivity.n_agents if isinstance(connectivity, Schedule) else 8
-    owner = None
-    if args.quality_owner is not None:
-        if args.quality_owner > n_agents:
-            raise ConfigError(
-                f"--quality-owner {args.quality_owner} exceeds population "
-                f"of {n_agents}"
-            )
-        owner = args.quality_owner - 1
-    point = engine.ParameterPoint(
-        n_agents=n_agents,
-        connectivity=connectivity,
-        coordination_bias=args.c,
-        content_sensitivity=args.b,
-        memory_window=args.memory,
-        mutation_rate=args.mu,
-        quality_owner=owner,
-    )
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(engine.ParameterPoint)
+             if hasattr(args, f.name)}
+    owner = given.pop("quality_owner", None)
+    if "connectivity" in given:
+        given["connectivity"] = _connectivity(given["connectivity"])
+        if isinstance(given["connectivity"], Schedule):
+            # A schedule file for another size than --agents fails validate().
+            given.setdefault("n_agents", given["connectivity"].n_agents)
+    point = engine.ParameterPoint(**given)
+    if owner is not None:
+        if owner > point.n_agents:
+            raise ConfigError(f"--quality-owner {owner} exceeds population of {point.n_agents}")
+        point = dataclasses.replace(point, quality_owner=owner - 1)
     if args.until_convergence:
-        horizon = engine.UntilConvergence(args.max_rounds or engine.DEFAULT_MAX_ROUNDS)
+        horizon = (engine.UntilConvergence() if args.max_rounds is None
+                   else engine.UntilConvergence(args.max_rounds))
+    elif args.max_rounds is not None:
+        raise ConfigError("--max-rounds only applies with --until-convergence")
     else:
-        if args.max_rounds is not None:
-            raise ConfigError("--max-rounds only applies with --until-convergence")
         horizon = engine.FixedHorizon(args.rounds)
     # The printed metrics and runs_block never read the production history.
     batch = engine.run_replicates(point, args.runs, args.seed, horizon=horizon,
                                   history=False)
 
+    # Rows of (round, entropy, entropy_norm, adaptiveness, delta_a): one run's
+    # own, or the per-round means over the runs.
+    if args.runs == 1:
+        # Each derived metric is a property that computes its whole array.
+        columns = [getattr(batch, name)[0] for name in output.ROUND_METRICS]
+        rows = zip(range(1, int(batch.n_rounds[0]) + 1), *columns)
+        conv = int(batch.convergence_rounds[0])  # 0: not converged
+        notes = [f"# converged at round {conv}" if conv
+                 else "# did not converge within the horizon"]
+    else:
+        means = {(rec.round_no, rec.metric): rec.mean for rec in output.summarize_batch(batch)}
+        rows = ((t, *(means[t, name] for name in output.ROUND_METRICS))
+                for t in sorted({t for t, _ in means if t > 0}))  # round 0: convergence
+        conv = batch.convergence_rounds
+        n_conv = int((conv > 0).sum())
+        notes = [f"# converged runs: {n_conv}/{batch.n_replicates}"]
+        if n_conv:
+            notes.append(f"# mean time to convergence: {conv[conv > 0].mean():.3f}")
+
     print(f"# {args.runs} run(s), {point.n_agents} agents, "
           f"{point.connectivity_label} connectivity")
     header = ("round", "entropy", "entropy_norm", "adaptiveness", "delta_a")
     print("{:>5} {:>9} {:>13} {:>13} {:>8}".format(*header))
-    if args.runs == 1:
-        # Each derived metric is a property that computes its whole array.
-        columns = [getattr(batch, name)[0] for name in output.ROUND_METRICS]
-        for t in range(1, int(batch.n_rounds[0]) + 1):
-            e, en, a, d = (column[t - 1] for column in columns)
-            print(f"{t:>5} {e:>9.3f} {en:>13.3f} {a:>13.3f} {d:>8.3f}")
-        conv = int(batch.convergence_rounds[0])  # 0: not converged
-        if conv:
-            print(f"# converged at round {conv}")
-        else:
-            print("# did not converge within the horizon")
-    else:
-        by_round: dict[int, dict[str, float]] = {}
-        for rec in output.summarize_batch(batch):
-            if rec.round_no > 0:
-                by_round.setdefault(rec.round_no, {})[rec.metric] = rec.mean
-        for t in sorted(by_round):
-            row = by_round[t]
-            print(
-                f"{t:>5} {row['entropy']:>9.3f} {row['entropy_norm']:>13.3f} "
-                f"{row['adaptiveness']:>13.3f} {row['delta_adaptiveness']:>8.3f}"
-            )
-        conv = batch.convergence_rounds
-        n_conv = int((conv > 0).sum())
-        print(f"# converged runs: {n_conv}/{batch.n_replicates}")
-        if n_conv:
-            print(f"# mean time to convergence: {conv[conv > 0].mean():.3f}")
+    for t, e, en, a, d in rows:
+        print(f"{t:>5} {e:>9.3f} {en:>13.3f} {a:>13.3f} {d:>8.3f}")
+    for note in notes:
+        print(note)
 
     if args.out:
         with open(args.out, "w", encoding="ascii", newline="\n") as fh:
@@ -257,6 +250,8 @@ def _validated_config(path: str | None) -> dict:
                 user = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+            except UnicodeDecodeError:
+                raise ConfigError(f"{path} is not UTF-8 text") from None
         if not isinstance(user, dict):
             raise ConfigError("config must be a JSON object")
         unknown = sorted(set(user) - set(DEFAULT_CONFIG))
@@ -303,7 +298,7 @@ def cmd_sweep(args) -> int:
         if config["horizon_mode"] == "until_convergence"
         else engine.FixedHorizon()
     )
-    if args.threads:
+    if args.threads is not None:
         workers = args.threads
     elif hasattr(os, "sched_getaffinity"):
         workers = len(os.sched_getaffinity(0))

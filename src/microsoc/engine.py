@@ -67,7 +67,6 @@ from .errors import InvalidParamsError, MicrosocError, ScheduleValidationError
 from .schedule import (BUILTIN_SIZES, ConnectivityKind, Schedule, builtin_schedule,
                        validate_schedule)
 
-DEFAULT_MAX_ROUNDS = 200
 UNBOUNDED = math.inf
 # The largest population whose ids and high-quality counts fit int16; below
 # 128 agents they fit int8.
@@ -88,7 +87,7 @@ class UntilConvergence:
     productions are unanimous, giving up after max_rounds."""
 
     open_ended: ClassVar[bool] = True
-    max_rounds: int = DEFAULT_MAX_ROUNDS
+    max_rounds: int = 200
 
 
 # open_ended: runs may stop at convergence, so summaries add a

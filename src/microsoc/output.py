@@ -215,28 +215,30 @@ def _check_header(row, expected: str, path) -> None:
         )
 
 
+def _summary_record(row: list[str], path) -> SummaryRecord:
+    if len(row) != 13:
+        raise ConfigError(f"{path}: expected 13 columns, got {len(row)}")
+    try:
+        return SummaryRecord(
+            n_agents=int(row[0]), connectivity=row[1],
+            content_bias=float(row[2]), coordination_bias=float(row[3]),
+            memory=float(row[4]), mutation_rate=float(row[5]),
+            round_no=int(row[6]), metric=row[7],
+            mean=float(row[8]), sd=float(row[9]), ci95=float(row[10]),
+            n=int(row[11]), censored_n=int(row[12]),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad value in row {row!r}: {exc}") from None
+
+
 def read_summary(path) -> list[SummaryRecord]:
     with open(str(path), "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        _check_header(next(reader, None), SUMMARY_HEADER, path)
-        out = []
-        for row in reader:
-            if len(row) != 13:
-                raise ConfigError(f"{path}: expected 13 columns, got {len(row)}")
-            try:
-                out.append(
-                    SummaryRecord(
-                        n_agents=int(row[0]), connectivity=row[1],
-                        content_bias=float(row[2]), coordination_bias=float(row[3]),
-                        memory=float(row[4]), mutation_rate=float(row[5]),
-                        round_no=int(row[6]), metric=row[7],
-                        mean=float(row[8]), sd=float(row[9]), ci95=float(row[10]),
-                        n=int(row[11]), censored_n=int(row[12]),
-                    )
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{path}: bad value in row {row!r}: {exc}") from None
-        return out
+        try:
+            _check_header(next(reader, None), SUMMARY_HEADER, path)
+            return [_summary_record(row, path) for row in reader]
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path} is not UTF-8 text") from None
 
 
 class MemorySink:
@@ -312,7 +314,7 @@ class CsvSweepSink:
             raise ConfigError(
                 f"nothing to resume: {self.checkpoint_path} does not exist"
             ) from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"corrupt checkpoint: {exc}") from None
         if not isinstance(state, dict):
             raise ConfigError("corrupt checkpoint: not a JSON object")

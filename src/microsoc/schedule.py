@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -145,7 +146,12 @@ def _late_generalized(n_agents: int) -> Schedule:
 @functools.cache  # a Schedule is frozen, so callers may share one
 def builtin_schedule(kind: ConnectivityKind | str, n_agents: int) -> Schedule:
     """One of the built-in schedules; raises for unsupported combinations."""
-    kind = ConnectivityKind(kind)
+    try:
+        kind = ConnectivityKind(kind)
+    except ValueError:
+        raise InvalidParamsError(f"connectivity kind must be one of "
+                                 f"{', '.join(k.value for k in ConnectivityKind)}, "
+                                 f"got {kind!r}") from None
     if n_agents not in BUILTIN_SIZES:
         raise InvalidParamsError(
             f"built-in schedules exist for {BUILTIN_SIZES}, not {n_agents} agents"
@@ -220,24 +226,25 @@ def validate_schedule(schedule: Schedule, require_complete: bool = False) -> lis
             else:
                 seen_pairs[key] = t
         if len(used) < n:
-            missing = sorted(set(range(n)) - used)
-            violations.append(
-                Violation(
-                    "structure",
-                    t,
-                    "unpaired agents: " + ", ".join(str(x + 1) for x in missing),
-                )
-            )
+            unpaired = (str(x + 1) for x in range(n) if x not in used)
+            violations.append(Violation(
+                "structure", t, "unpaired agents: " + _first_eight(unpaired, n - len(used))))
     if require_complete:
-        all_pairs = {(a, b) for a in range(n) for b in range(a + 1, n)}
-        missing = sorted(all_pairs - set(seen_pairs))
-        if missing:
-            shown = ", ".join(f"{a + 1}-{b + 1}" for a, b in missing[:8])
-            more = "" if len(missing) <= 8 else f" (+{len(missing) - 8} more)"
-            violations.append(
-                Violation("incomplete", None, f"pairs never meeting: {shown}{more}")
-            )
+        # seen_pairs holds only distinct in-range pairs, so the count is exact.
+        n_missing = n * (n - 1) // 2 - len(seen_pairs)
+        if n_missing:
+            missing = (f"{a + 1}-{b + 1}" for a in range(n) for b in range(a + 1, n)
+                       if (a, b) not in seen_pairs)
+            violations.append(Violation(
+                "incomplete", None, "pairs never meeting: " + _first_eight(missing, n_missing)))
     return violations
+
+
+def _first_eight(items, total: int) -> str:
+    """The first 8 of total items, and how many more there are. Taking them
+    lazily costs the skipped entries, not the population."""
+    shown = ", ".join(itertools.islice(items, 8))
+    return shown if total <= 8 else f"{shown} (+{total - 8} more)"
 
 
 def reachability_profile(schedule: Schedule, source: int) -> list[int]:
@@ -289,15 +296,16 @@ def dumps_schedule(schedule: Schedule, fmt: str = "text") -> str:
             "rounds": [[[a + 1, b + 1] for a, b in m] for m in schedule.rounds],
         }
         return json.dumps(doc, indent=2) + "\n"
-    raise ValueError(f"unknown schedule format {fmt!r}")
+    raise InvalidParamsError(f"schedule format must be 'text' or 'json', got {fmt!r}")
 
 
 def export_schedule(schedule: Schedule, path, fmt: str | None = None) -> None:
     path = str(path)
     if fmt is None:
         fmt = "json" if path.endswith(".json") else "text"
+    text = dumps_schedule(schedule, fmt)  # before open, so a bad format leaves no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_schedule(schedule, fmt))
+        fh.write(text)
 
 
 def _parse_text(text: str) -> Schedule:
@@ -391,5 +399,13 @@ def loads_schedule(text: str, require_complete: bool = False) -> Schedule:
 
 
 def load_schedule(path, require_complete: bool = False) -> Schedule:
-    with open(str(path), "r", encoding="utf-8") as fh:
-        return loads_schedule(fh.read(), require_complete=require_complete)
+    try:
+        with open(str(path), "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        # A whole-file read decodes the file's bytes in one call.
+        line_start = exc.object.rfind(b"\n", 0, exc.start) + 1
+        raise ScheduleParseError(f"{path} is not UTF-8 text",
+                                 exc.object.count(b"\n", 0, exc.start) + 1,
+                                 exc.start - line_start + 1) from None
+    return loads_schedule(text, require_complete=require_complete)

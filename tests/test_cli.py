@@ -184,6 +184,58 @@ class TestSimulate:
         assert code == 2
         assert "nor an existing schedule file" in err
 
+    @staticmethod
+    def engine_call(monkeypatch, capsys, *argv):
+        """The arguments that simulate hands run_replicates, by name."""
+        seen = {}
+        run_replicates = engine.run_replicates
+
+        def spy(point, replicates, master_seed, **kw):
+            seen.update(point=point, replicates=replicates, master_seed=master_seed, **kw)
+            return run_replicates(point, replicates, master_seed, **kw)
+
+        monkeypatch.setattr(engine, "run_replicates", spy)
+        assert run_cli(capsys, "simulate", *argv)[0] == 0
+        return seen
+
+    def test_no_flags_take_the_engine_defaults(self, capsys, monkeypatch):
+        assert self.engine_call(monkeypatch, capsys) == dict(
+            point=engine.ParameterPoint(), replicates=1, master_seed=0,
+            horizon=engine.FixedHorizon(), history=False,
+        )
+
+    def test_until_convergence_alone_takes_its_default_cap(self, capsys, monkeypatch):
+        seen = self.engine_call(monkeypatch, capsys, "--until-convergence")
+        assert seen["horizon"] == engine.UntilConvergence()
+        assert seen["point"] == engine.ParameterPoint()
+
+    def test_a_schedule_file_sets_the_population(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "late16.txt"
+        export_schedule(builtin_schedule("late", 16), path)
+        point = self.engine_call(monkeypatch, capsys, "--connectivity", str(path))["point"]
+        assert point == engine.ParameterPoint(n_agents=16,
+                                              connectivity=builtin_schedule("late", 16))
+
+    @pytest.mark.parametrize("argv,message", [
+        (("simulate", "--runs", "0"), "replicates must be an integer >= 1, got 0"),
+        (("simulate", "--runs", "-1"), "replicates must be an integer >= 1, got -1"),
+        (("simulate", "--rounds", "0"), "FixedHorizon(rounds=0) needs"),
+        (("simulate", "--until-convergence", "--max-rounds", "0"),
+         "UntilConvergence(max_rounds=0) needs"),
+        (("simulate", "--until-convergence", "--max-rounds", "3"),
+         "UntilConvergence(max_rounds=3) needs an integer number of rounds >= 7"),
+        (("sweep", "--threads", "0"), "workers must be at least 1, got 0"),
+    ], ids=["runs-0", "runs-neg", "rounds-0", "max-rounds-0", "max-rounds-3", "threads-0"])
+    def test_the_engine_bounds_are_usage_errors(self, capsys, tmp_path, monkeypatch,
+                                                argv, message):
+        # A 0 must reach the engine, not read as an absent flag.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err and out == ""
+        assert not (tmp_path / DEFAULT_CONFIG["output_dir"]).exists()
+
     def test_readme_quick_start_output_matches(self, capsys):
         readme = README.read_text(encoding="utf-8")
         section = readme.split("## Command-line quick start\n")[1].split("\n## ")[0]
@@ -259,6 +311,15 @@ class TestScheduleCommands:
         code, _, err = run_cli(capsys, *command, str(path))
         assert code == 2
         assert "'rounds' must be a list" in err
+
+    def test_validate_lists_at_most_eight_unpaired_agents(self, capsys, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("agents=100000\n1-2\n")
+        code, out, _ = run_cli(capsys, "schedule", "validate", str(path))
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "  round 1: unpaired agents: 3, 4, 5, 6, 7, 8, 9, 10 (+99990 more)"
+        ]
 
     def test_reach_needs_exactly_one_source_kind(self, capsys):
         code, _, err = run_cli(capsys, "schedule", "reach", "--source", "1")
@@ -551,6 +612,14 @@ class TestSweep:
         assert code == 2
         assert "corrupt checkpoint" in err
 
+    def test_resume_refuses_checkpoint_that_is_not_utf8(self, capsys, tmp_path):
+        config = small_config(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / CsvSweepSink.CHECKPOINT).write_bytes(b"\xff{}")
+        code, _, err = run_cli(capsys, "sweep", str(config), "--resume")
+        assert code == 2
+        assert "corrupt checkpoint" in err and "Traceback" not in err
+
     def test_progress_line_reports_rate_and_eta(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "sweep", str(small_config(tmp_path)))
         assert code == 0
@@ -817,3 +886,19 @@ class TestPlot:
         )
         assert code == 1
         assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--connectivity", "{path}"),
+    ("schedule", "validate", "{path}"),
+    ("sweep", "{path}"),
+    ("plot", "{path}", "--out", "{svg}"),
+], ids=["simulate", "schedule-validate", "sweep", "plot"])
+def test_an_input_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path, argv):
+    # Exit 1 would say that I/O failed and the run could be retried.
+    path, svg = tmp_path / "input", tmp_path / "x.svg"
+    path.write_bytes(b"\xffagents=8\n")
+    code, out, err = run_cli(capsys, *(a.format(path=path, svg=svg) for a in argv))
+    assert code == 2
+    assert f"{path} is not UTF-8 text" in err and "Traceback" not in err
+    assert out == "" and not svg.exists()

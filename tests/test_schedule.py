@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +121,10 @@ class TestBuiltinTables:
         with pytest.raises(InvalidParamsError, match="built-in schedules exist for"):
             builtin_schedule(ConnectivityKind.EARLY, 10)
 
+    def test_unknown_kind_is_an_invalid_argument(self):
+        with pytest.raises(InvalidParamsError, match="one of early, mid, late, got 'foo'"):
+            builtin_schedule("foo", 8)
+
     def test_kind_accepts_strings(self):
         assert builtin_schedule("early", 8).rounds == builtin_schedule(
             ConnectivityKind.EARLY, 8
@@ -151,6 +156,40 @@ class TestValidation:
         assert len(violations) == 2  # both pairs of round 2 are repeats
         assert all(v.round_no == 2 for v in violations)
 
+    def test_short_lists_are_given_in_full(self):
+        sched = Schedule.from_pairs(8, [[(0, 1)]])
+        assert [str(v) for v in validate_schedule(sched)] == [
+            "round 1: unpaired agents: 3, 4, 5, 6, 7, 8"
+        ]
+        sched = Schedule.from_pairs(4, [[(0, 1), (2, 3)]])
+        assert [str(v) for v in validate_schedule(sched, require_complete=True)] == [
+            "pairs never meeting: 1-3, 1-4, 2-3, 2-4"
+        ]
+
+    def test_long_lists_show_eight_and_count_the_rest(self):
+        sched = Schedule.from_pairs(12, [[(0, 1)]])
+        assert [str(v) for v in validate_schedule(sched)] == [
+            "round 1: unpaired agents: 3, 4, 5, 6, 7, 8, 9, 10 (+2 more)"
+        ]
+        sched = Schedule.from_pairs(6, [[(0, 1), (2, 3), (4, 5)]])
+        assert [str(v) for v in validate_schedule(sched, require_complete=True)] == [
+            "pairs never meeting: 1-3, 1-4, 1-5, 1-6, 2-3, 2-4, 2-5, 2-6 (+4 more)"
+        ]
+
+    @pytest.mark.parametrize("n_agents,require_complete", [(1000, True), (10**6, False)])
+    def test_work_follows_the_file_not_the_population(self, n_agents, require_complete):
+        # One pair among many agents: neither every id nor every pair is built.
+        sched = Schedule.from_pairs(n_agents, [[(0, 1)]])
+        tracemalloc.start()
+        try:
+            violations = validate_schedule(sched, require_complete=require_complete)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert len(violations) == 1 + require_complete
+        assert all(str(v).endswith(" more)") for v in violations)
+
     def test_reach_source_out_of_range(self):
         sched = builtin_schedule(ConnectivityKind.EARLY, 8)
         with pytest.raises(InvalidParamsError, match="outside population"):
@@ -178,6 +217,23 @@ class TestSerialization:
             path = tmp_path / name
             export_schedule(sched, path)
             assert load_schedule(path) == sched
+
+    def test_unknown_format_is_an_invalid_argument(self, tmp_path):
+        sched = builtin_schedule(ConnectivityKind.EARLY, 8)
+        with pytest.raises(InvalidParamsError, match="'text' or 'json', got 'yaml'"):
+            dumps_schedule(sched, "yaml")
+        path = tmp_path / "early.yaml"
+        with pytest.raises(InvalidParamsError, match="'text' or 'json', got 'yaml'"):
+            export_schedule(sched, path, "yaml")
+        assert not path.exists()
+
+    def test_a_file_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "pairs.txt"
+        path.write_bytes(b"agents=4\n1-2 3-4\n1-3 \xff-4\n")
+        with pytest.raises(ScheduleParseError, match="is not UTF-8 text") as info:
+            load_schedule(path)
+        assert (info.value.line, info.value.column) == (3, 5)
+        assert str(path) in str(info.value)
 
     def test_text_format_shape(self):
         text = dumps_schedule(builtin_schedule(ConnectivityKind.EARLY, 8), "text")
