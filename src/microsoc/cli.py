@@ -7,7 +7,7 @@ Subcommands:
   plot       render a faceted SVG chart from a summary CSV
 
 Exit codes: 0 success, 1 I/O failure (a sweep can be resumed), 2 invalid
-flags or configuration.
+flags, configuration or input file.
 """
 
 from __future__ import annotations
@@ -153,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rch = sch_sub.add_parser("reach", help="print a reachability profile")
     rch.add_argument("--kind", choices=BUILTIN_KINDS, default=None)
-    rch.add_argument("--agents", type=int, default=8)
+    rch.add_argument("--agents", type=int, default=engine.ParameterPoint.n_agents,
+                     help="population size for --kind (default %(default)s)")
     rch.add_argument("--file", default=None, help="schedule file instead of --kind")
     rch.add_argument("--source", type=_positive_int("source agent"), default=1,
                      help="1-based source agent (default 1)")
@@ -313,17 +314,17 @@ def cmd_sweep(args) -> int:
     ])
     digest = config_digest(hashed)
     sink = output.CsvSweepSink(config["output_dir"], digest, resume=args.resume)
-    total = len(grid.points())
     start = sink.next_point
-    if args.resume and start == total:
-        print("sweep already complete; nothing to resume")
-    elif args.resume and start < total:
-        print(f"resuming at point {start + 1}/{total}")
-    step = max(1, total // 20)
     t0 = time.monotonic()
 
     def progress(done: int, n_points: int):
-        if done % step == 0 or done == n_points:
+        if done == start:
+            # sweep's first call, made once every check it makes has passed.
+            if args.resume and start == n_points:
+                print("sweep already complete; nothing to resume")
+            elif args.resume:
+                print(f"resuming at point {start + 1}/{n_points}")
+        elif done % max(1, n_points // 20) == 0 or done == n_points:
             elapsed = time.monotonic() - t0
             # Rate over the points of this invocation, so a resume's ETA holds.
             rate = (done - start) / max(elapsed, 1e-9)
@@ -364,7 +365,7 @@ def cmd_schedule_validate(args) -> int:
         print(f"{args.path}: INVALID")
         for v in exc.violations:
             print(f"  {v}")
-        return 1
+        return 2
     checks = "matchings, no repeated pairs"
     if args.require_complete:
         checks += ", complete round-robin"

@@ -253,8 +253,9 @@ class BatchResult:
     stepped holds one (rows, entropy, quality_counts) triple per executed
     round: the replicate rows the kernel stepped, ascending, and those rows'
     entropy (float64) and high-quality count (how many of the round's n
-    productions are the high-quality variant, in the history's dtype). Rounds
-    between two compactions of the active set share one rows array.
+    productions are the high-quality variant, in the history's dtype). Its
+    readers take one round at a time and index by replicate id, so they need
+    nothing of rows but its values.
     n_rounds[r] says how many leading rounds are meaningful for replicate r
     (they differ only in until-convergence mode); a replicate not stepped in
     a round is past its n_rounds there. history is every round's
@@ -281,17 +282,12 @@ class BatchResult:
 
     def _dense(self, part: int, fill) -> np.ndarray:
         """Part `part` of the stepped triples as (replicates, rounds), with
-        fill past n_rounds: one stack and one scatter per run of rounds that
-        share their rows."""
+        fill past n_rounds: each round scattered into its rows."""
         stepped = self.stepped
-        out = np.empty((self.n_replicates, len(stepped)), dtype=stepped[0][part].dtype)
-        start = 0
-        for end in range(1, len(stepped) + 1):
-            rows = stepped[start][0]
-            if end == len(stepped) or stepped[end][0] is not rows:
-                out[rows, start:end] = np.stack([s[part] for s in stepped[start:end]],
-                                                axis=1)
-                start = end
+        out = np.full((self.n_replicates, len(stepped)), fill, dtype=stepped[0][part].dtype)
+        for t, triple in enumerate(stepped):
+            out[triple[0], t] = triple[part]
+        # Retirees are stepped past their n_rounds until the next compaction.
         if self.horizon.open_ended:
             np.copyto(out, fill, where=np.arange(len(stepped)) >= self.n_rounds[:, None])
         return out
@@ -658,7 +654,9 @@ def sweep(
     even when no point is left. The master seed, an integer; workers, an
     integer of at least 1; the grid; and the horizon against each of its
     schedules are checked before start_index, the sink's first effect, so a
-    sweep that cannot run leaves earlier output untouched. Output bytes
+    sweep that cannot run leaves earlier output untouched. progress, if
+    given, is called as progress(done, n_points) with the start index once
+    start_index returns, then after each point is written. Output bytes
     depend only on grid, master_seed, and horizon: never on workers or
     resume splits.
     """
@@ -671,6 +669,8 @@ def sweep(
             horizon_rounds(horizon, schedule.n_rounds)
         points = grid.points()
         start = sink.start_index(len(points))
+        if progress:
+            progress(start, len(points))
         todo = [
             (i, points[i], master_seed, grid.replicates, horizon, sink.wants_runs())
             for i in range(start, len(points))

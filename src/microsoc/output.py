@@ -160,22 +160,18 @@ def summarize_batch(batch) -> list[SummaryRecord]:
     key = _point_key(batch.point)
     out = []
     n_agents = batch.point.n_agents
-    prev_rows = prev_a = None
+    # Each replicate's adaptiveness in the round before, by replicate id; a
+    # replicate stepped in a round was stepped in every round before it.
+    prev_a = np.full(batch.n_replicates, 1 / n_agents)
     for t, (rows, h, counts) in enumerate(batch.stepped, 1):
-        if rows is not prev_rows:
-            # The stepped rows only shrink and keep their order, so the
-            # round before's rows hold this round's: searchsorted finds them.
-            if prev_rows is not None:
-                prev_a = prev_a[np.searchsorted(prev_rows, rows)]
-            prev_rows, last = rows, batch.n_rounds[rows]
-        runners = last >= t
+        runners = batch.n_rounds[rows] >= t
         n = int(np.count_nonzero(runners))
         if n < 2:  # and fewer in every later round
             break
         a = metrics.adaptiveness(counts, n_agents)
         e, now = h.compress(runners), a.compress(runners)
-        before = prev_a.compress(runners) if t > 1 else 1 / n_agents
-        prev_a = a
+        before = prev_a[rows].compress(runners)
+        prev_a[rows] = a
         # C order, as aggregate_rows expects.
         table = np.stack([e, metrics.entropy_norm(e, n_agents), now,
                           metrics.delta_adaptiveness(now, before)])

@@ -299,7 +299,7 @@ class TestScheduleCommands:
         path = tmp_path / "bad.txt"
         path.write_text("agents=4\n1-2 3-4\n1-2 3-4\n")
         code, out, _ = run_cli(capsys, "schedule", "validate", str(path))
-        assert code == 1
+        assert code == 2
         assert "INVALID" in out
         assert "repeat" in out.lower()
 
@@ -316,10 +316,20 @@ class TestScheduleCommands:
         path = tmp_path / "wide.txt"
         path.write_text("agents=100000\n1-2\n")
         code, out, _ = run_cli(capsys, "schedule", "validate", str(path))
-        assert code == 1
+        assert code == 2
         assert out.splitlines()[1:] == [
             "  round 1: unpaired agents: 3, 4, 5, 6, 7, 8, 9, 10 (+99990 more)"
         ]
+
+    def test_reach_agents_defaults_to_the_point_population(self, capsys):
+        n = engine.ParameterPoint.n_agents
+        default = run_cli(capsys, "schedule", "reach", "--kind", "early")
+        assert default == run_cli(capsys, "schedule", "reach", "--kind", "early",
+                                  "--agents", str(n))
+        assert default[0] == 0
+        with pytest.raises(SystemExit):
+            main(["schedule", "reach", "--help"])
+        assert f"(default {n})" in " ".join(capsys.readouterr().out.split())
 
     def test_reach_needs_exactly_one_source_kind(self, capsys):
         code, _, err = run_cli(capsys, "schedule", "reach", "--source", "1")
@@ -360,6 +370,22 @@ class TestSweep:
         assert code == 2
         assert "refusing to mix outputs" in err
         assert "already complete" not in out
+        assert output_files(tmp_path / "out") == before
+
+    @pytest.mark.parametrize("torn", [True, False], ids=["torn", "complete"])
+    def test_resume_prints_its_start_only_after_every_check(
+        self, capsys, tmp_path, monkeypatch, torn
+    ):
+        config = small_config(tmp_path, content_bias_levels=[0.0], memory_levels=[3])
+        with monkeypatch.context() as patch:
+            if torn:
+                fail_write_at(patch, 1)
+            assert run_cli(capsys, "sweep", str(config), "--threads", "1")[0] == int(torn)
+        before = output_files(tmp_path / "out")
+        code, out, err = run_cli(capsys, "sweep", str(config), "--resume", "--threads", "0")
+        assert code == 2
+        assert "workers must be at least 1, got 0" in err
+        assert "resuming" not in out and "already complete" not in out
         assert output_files(tmp_path / "out") == before
 
     def test_resume_refuses_a_checkpoint_past_the_grid_end(self, capsys, tmp_path):

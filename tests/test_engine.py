@@ -1,6 +1,7 @@
 """Engine behavior: scalar agreement, determinism, horizons, and invariants."""
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -768,8 +769,8 @@ class TestWorkingMemory:
                                    history=False))
         assert held <= 1.0e6
         assert peak <= 1.9e6
-        # One access builds the 1.6 MB entropy array and the largest run of
-        # rounds between two compactions, never a second full array.
+        # One access builds the 1.6 MB entropy array and scatters each round
+        # into it by replicate id, never building a second full array.
         entropy, _, peak = self.traced(lambda: batch.entropy)
         assert entropy.shape == (1000, 200)
         assert peak <= 2.1e6
@@ -949,6 +950,35 @@ class TestSweepGrid:
             calls = []
             sweep(grid, MASTER, sink, workers=workers,
                   progress=lambda done, total: calls.append((done, total)))
-            assert calls == [(4, 6), (5, 6), (6, 6)], workers
+            assert calls == [(3, 6), (4, 6), (5, 6), (6, 6)], workers
             assert len(sink.summaries) == 3 * 4 * 7
             assert sink.finalized
+
+
+class TestBenchmarkCallSurface:
+    @pytest.mark.parametrize("workload", ["fixed_csv", "converge_summary"])
+    def test_a_traced_benchmark_repeat_still_runs(self, tmp_path, workload):
+        # benchmarks/repeat.py with --trace 1 calls engine.sweep(grid, seed,
+        # sink, horizon=..., workers=...) on MemorySink(want_runs=False) or
+        # CsvSweepSink(out_dir, digest), and benchmarks/layertrace.py wraps
+        # rng.seed_derive, engine.run_replicates, output.runs_block (counting
+        # the lines of the str it returns), output.summarize_batch,
+        # metrics.aggregate, output.summary_block and the sink's write_point
+        # (taking len() of its runs argument). A rename or a new shape of any
+        # of them shows here as an error, not first in a benchmark run.
+        root = Path(engine.__file__).parents[2]
+        done = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "repeat.py"), "--src",
+             str(root / "src"), "--workload", workload, "--grid", "tiny",
+             "--master-seed", str(MASTER), "--out", str(tmp_path), "--trace", "1"],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        assert result["error"] is None
+        figures = result["trace"]["figures"]
+        # The tiny grid has 2 points of 20 replicates on the early schedule.
+        assert figures["engine.run_replicates.calls"] == 2
+        assert figures["sink.write_point.calls"] == 2
+        assert figures["output.summarize_batch.records"] > 0
+        rows = figures["output.runs_block.rows"]
+        assert rows == (2 * 20 * 7 if workload == "fixed_csv" else 0)

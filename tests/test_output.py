@@ -315,6 +315,30 @@ class TestSummaries:
         assert [(r.round_no, r.metric, r.mean.hex(), r.sd.hex(), r.ci95.hex(), r.n,
                  r.censored_n) for r in records] == expected
 
+    def test_readers_go_by_replicate_id_not_by_the_rows_object(self):
+        # The kernel hands one rows object on from a compaction to the rounds
+        # after it; the readers must not depend on that, so a batch whose
+        # every round carries its own equal copy reads the same.
+        point = ParameterPoint(coordination_bias=1.0, content_sensitivity=0.0,
+                               memory_window=3.0)
+        batch = run_replicates(point, 300, MASTER, horizon=UntilConvergence(200),
+                               history=False)
+        assert len({id(rows) for rows, _, _ in batch.stepped}) - 1 >= 5
+        copied = dataclasses.replace(
+            batch, stepped=[(rows.copy(), h, counts) for rows, h, counts in batch.stepped])
+        assert len({id(rows) for rows, _, _ in copied.stepped}) == len(copied.stepped)
+
+        def fields(records):
+            # hex() tells -0.0 from 0.0, which summary.csv writes apart.
+            return [tuple(v.hex() if isinstance(v, float) else v
+                          for v in dataclasses.astuple(r)) for r in records]
+
+        assert fields(summarize_batch(copied)) == fields(summarize_batch(batch))
+        for name in ("entropy", "quality_counts"):
+            got, want = getattr(copied, name), getattr(batch, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                            want.tobytes()), name
+
     def test_open_ended_batches_add_convergence_row(self):
         batch = run_replicates(
             ParameterPoint(content_sensitivity=0.8),
