@@ -153,8 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rch = sch_sub.add_parser("reach", help="print a reachability profile")
     rch.add_argument("--kind", choices=BUILTIN_KINDS, default=None)
-    rch.add_argument("--agents", type=int, default=engine.ParameterPoint.n_agents,
-                     help="population size for --kind (default %(default)s)")
+    rch.add_argument("--agents", type=int, **unset,
+                     help=f"population size (default {engine.ParameterPoint.n_agents}), "
+                     "or with --file, the file's")
     rch.add_argument("--file", default=None, help="schedule file instead of --kind")
     rch.add_argument("--source", type=_positive_int("source agent"), default=1,
                      help="1-based source agent (default 1)")
@@ -379,8 +380,12 @@ def cmd_schedule_reach(args) -> int:
         raise ConfigError("give exactly one of --kind or --file")
     if args.file:
         sched = load_schedule(args.file)
+        if getattr(args, "agents", sched.n_agents) != sched.n_agents:
+            raise ConfigError(f"--agents {args.agents} differs from the "
+                              f"{sched.n_agents} agents of {args.file}")
     else:
-        sched = builtin_schedule(args.kind, args.agents)
+        sched = builtin_schedule(args.kind, getattr(args, "agents",
+                                                    engine.ParameterPoint.n_agents))
     if args.source > sched.n_agents:
         raise ConfigError(
             f"--source {args.source} exceeds population of {sched.n_agents}"

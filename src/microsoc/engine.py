@@ -71,6 +71,8 @@ UNBOUNDED = math.inf
 # The largest population whose ids and high-quality counts fit int16; below
 # 128 agents they fit int8.
 _MAX_AGENTS = 2**15 - 1
+# The longest horizon: every cell code, below 2 * S**2, then fits int64.
+_MAX_ROUNDS = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -200,16 +202,16 @@ _FIELD_RULES = dict(n_agents=_check_population, connectivity=_check_connectivity
 
 def horizon_rounds(horizon: Horizon, cycle: int) -> int:
     """The most rounds a run steps under horizon with a cycle-round schedule;
-    raise unless that is at least 1, and open-ended, at least one cycle."""
+    raise unless it lies in [1, _MAX_ROUNDS], and open-ended, covers a cycle."""
     if horizon.open_ended:
         rounds, least = horizon.max_rounds, cycle
     else:
         rounds, least = (cycle if horizon.rounds is None else horizon.rounds), 1
     _refuse_bool("max_rounds" if horizon.open_ended else "rounds", rounds)
-    if not (isinstance(rounds, Integral) and rounds >= least):
+    if not (isinstance(rounds, Integral) and least <= rounds <= _MAX_ROUNDS):
         raise InvalidParamsError(
             f"{horizon} needs an integer number of rounds >= {least}, for a "
-            f"{cycle}-round schedule"
+            f"{cycle}-round schedule, and at most {_MAX_ROUNDS}"
         )
     return rounds
 
@@ -346,11 +348,7 @@ def run_replicates(
         raise InvalidParamsError(f"replicates must be an integer >= 1, got {replicates!r}")
     _check_integer("master_seed", master_seed)
     _check_integer("point_index", point_index)
-    # Reduced as Python ints, as rng.seed_derive does: a numpy integer would
-    # overflow at the mask. An array, not a numpy scalar: uint64 scalar
-    # arithmetic warns on wraparound.
-    master = np.array([int(master_seed) & rng.MASK64], dtype=np.uint64)
-    seeds = rng.absorb_np(master, int(point_index) & rng.MASK64, np.arange(replicates))
+    seeds = rng.seed_derive(master_seed, point_index, np.arange(replicates))
     schedule = point.validate()
     n = point.n_agents
     n_variants = n

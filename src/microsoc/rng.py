@@ -9,13 +9,15 @@ state to thread through the simulation, which buys two things:
 * sweep output is byte-identical for any worker count, because nothing about
   scheduling can perturb the draws.
 
-The mixing function is the public-domain splitmix64 finalizer. The scalar
-mix64, absorb and seed_derive derive one run's seed on its own (see README,
-Determinism); the numpy functions derive a point's seeds, its quality
-owners and its production uniforms in whole arrays.
+The mixing function is the public-domain splitmix64 finalizer, on uint64
+arrays: seed_derive derives run seeds (see README, Determinism), and the other
+functions a point's quality owners and production uniforms from them. Their
+Python-int definition, which they are checked against, is in the tests.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -29,33 +31,8 @@ STREAM_PRODUCTION = 0x50524F44  # "PROD"
 STREAM_OWNER = 0x4F574E52  # "OWNR"
 
 
-def mix64(z: int) -> int:
-    """Bijective avalanche on 64-bit integers (splitmix64 finalizer)."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    return z ^ (z >> 31)
-
-
-def absorb(seed: int, *words: int) -> int:
-    """Fold integer words into a seed, one avalanche pass per word."""
-    h = seed & MASK64
-    for w in words:
-        h = mix64((h + _GAMMA + (w & MASK64)) & MASK64)
-    return h
-
-
-def seed_derive(master_seed: int, point_index: int, replicate_index: int) -> int:
-    """Run seed for one replicate of one grid point.
-
-    Distinct (point_index, replicate_index) pairs give independent streams
-    under the same master seed.
-    """
-    return absorb(master_seed, point_index, replicate_index)
-
-
 def mix64_np(z: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over a uint64 array."""
+    """Bijective avalanche (the splitmix64 finalizer) over a uint64 array."""
     z = z.astype(np.uint64, copy=True)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
@@ -65,11 +42,25 @@ def mix64_np(z: np.ndarray) -> np.ndarray:
 
 
 def absorb_np(seed: np.ndarray, *words) -> np.ndarray:
-    """Vectorized absorb; words may be scalars or broadcastable arrays."""
+    """Fold integer words into seeds, one mix per word; words broadcast with seed."""
     h = np.asarray(seed, dtype=np.uint64)
     for w in words:
         h = mix64_np(h + np.uint64(_GAMMA) + np.asarray(w, dtype=np.uint64))
     return h
+
+
+def seed_derive(master_seed: int, point_index: int, replicate_index) -> np.ndarray:
+    """Run seeds of one grid point as uint64: one for an int replicate_index,
+    else one per entry of its array of non-negative indices. Distinct
+    (point_index, replicate_index) pairs give independent streams.
+
+    Any integer master seed and point index is reduced modulo 2**64 as a
+    Python int, where a numpy integer would overflow at the mask; a float is
+    refused. An array, not a numpy scalar: uint64 scalar arithmetic warns on
+    wraparound.
+    """
+    master = np.array([operator.index(master_seed) & MASK64], dtype=np.uint64)
+    return absorb_np(master, operator.index(point_index) & MASK64, replicate_index)
 
 
 def to_unit_np(h: np.ndarray) -> np.ndarray:
@@ -93,6 +84,6 @@ def production_keys_np(run_seeds: np.ndarray, agent_ids: np.ndarray) -> np.ndarr
 
 def production_uniform_np(keys: np.ndarray, round_no: int) -> np.ndarray:
     """Production uniforms of one round for production_keys_np's keys: the
-    uniform of (run, agent, round) is to_unit(absorb(run_seed,
+    uniform of (run, agent, round) is to_unit_np(absorb_np(run_seed,
     STREAM_PRODUCTION, agent_id, round_no))."""
     return to_unit_np(absorb_np(keys, round_no))

@@ -22,11 +22,13 @@ evaluation order, and the test suite pins the kernel to this reference
 bit for bit; test_model_core.py checks this reference against the brute-force
 evaluator in oracles.py.
 
-The draws and per-round metrics at the end of this file are the scalar
-definitions of what the kernel computes in arrays. The Python-int draws and
-microsoc.rng's numpy-uint64 ones must match exactly (test_rng.py): the
-scalar production_uniform stays the one definition of the draw that the
-kernel's uniforms are checked against.
+The seed derivation, draws and per-round metrics at the end of this file are
+the scalar definitions of what the package computes in arrays. They keep
+their own copy of the splitmix64 constants, so that microsoc.rng is checked
+against an independent reference. The Python-int seeds and draws and
+microsoc.rng's numpy-uint64 ones must match exactly (test_rng.py): the scalar
+seed_derive and production_uniform stay the one definition of a run's seed
+and of the draw that the kernel's seeds and uniforms are checked against.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from microsoc.engine import UNBOUNDED
 from microsoc.errors import InvalidParamsError, MicrosocError
 from microsoc.metrics import count_terms, entropy_from_terms
-from microsoc.rng import STREAM_OWNER, STREAM_PRODUCTION, absorb
+from microsoc.rng import STREAM_OWNER, STREAM_PRODUCTION
 
 
 class EmptyMemoryError(MicrosocError, ValueError):
@@ -276,6 +278,37 @@ def record_interaction(
     memory_a.record(MemoryEntry(round_no, Origin.ALLO, produced_b))
     memory_b.record(MemoryEntry(round_no, Origin.EGO, produced_b))
     memory_b.record(MemoryEntry(round_no, Origin.ALLO, produced_a))
+
+
+MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def mix64(z: int) -> int:
+    """Bijective avalanche on 64-bit integers (splitmix64 finalizer)."""
+    z &= MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+    return z ^ (z >> 31)
+
+
+def absorb(seed: int, *words: int) -> int:
+    """Fold integer words into a seed, one avalanche pass per word."""
+    h = seed & MASK64
+    for w in words:
+        h = mix64((h + _GAMMA + (w & MASK64)) & MASK64)
+    return h
+
+
+def seed_derive(master_seed: int, point_index: int, replicate_index: int) -> int:
+    """Run seed for one replicate of one grid point.
+
+    Distinct (point_index, replicate_index) pairs give independent streams
+    under the same master seed.
+    """
+    return absorb(master_seed, point_index, replicate_index)
 
 
 def to_unit(h: int) -> float:

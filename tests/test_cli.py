@@ -224,8 +224,13 @@ class TestSimulate:
          "UntilConvergence(max_rounds=0) needs"),
         (("simulate", "--until-convergence", "--max-rounds", "3"),
          "UntilConvergence(max_rounds=3) needs an integer number of rounds >= 7"),
+        # Past the limit the quality owner's cell code would not fit int64.
+        (("simulate", "--until-convergence", "--max-rounds", "5000000000"),
+         "UntilConvergence(max_rounds=5000000000) needs an integer number of rounds >= 7, "
+         "for a 7-round schedule, and at most 2147483647"),
         (("sweep", "--threads", "0"), "workers must be at least 1, got 0"),
-    ], ids=["runs-0", "runs-neg", "rounds-0", "max-rounds-0", "max-rounds-3", "threads-0"])
+    ], ids=["runs-0", "runs-neg", "rounds-0", "max-rounds-0", "max-rounds-3",
+            "max-rounds-5e9", "threads-0"])
     def test_the_engine_bounds_are_usage_errors(self, capsys, tmp_path, monkeypatch,
                                                 argv, message):
         # A 0 must reach the engine, not read as an absent flag.
@@ -330,6 +335,18 @@ class TestScheduleCommands:
         with pytest.raises(SystemExit):
             main(["schedule", "reach", "--help"])
         assert f"(default {n})" in " ".join(capsys.readouterr().out.split())
+
+    def test_reach_file_size_must_match_agents(self, capsys, tmp_path):
+        path = tmp_path / "late16.txt"
+        export_schedule(builtin_schedule("late", 16), path, "text")
+        code, out, err = run_cli(capsys, "schedule", "reach", "--file", str(path),
+                                 "--agents", "4")
+        assert (code, out) == (2, "")
+        assert "--agents 4" in err and "16 agents" in err
+        profile = "2 4 4 8 8 8 8 16 16 16 16 16 16 16 16\n"
+        for agents in (("--agents", "16"), ()):
+            assert run_cli(capsys, "schedule", "reach", "--file", str(path),
+                           *agents) == (0, profile, "")
 
     def test_reach_needs_exactly_one_source_kind(self, capsys):
         code, _, err = run_cli(capsys, "schedule", "reach", "--source", "1")
@@ -716,8 +733,8 @@ class TestSweep:
             "entropy_norm", "pooled",
         ]
         assert public_functions(rng) == [
-            "absorb", "absorb_np", "mix64", "mix64_np", "production_keys_np",
-            "production_uniform_np", "seed_derive", "to_unit_np",
+            "absorb_np", "mix64_np", "production_keys_np", "production_uniform_np",
+            "seed_derive", "to_unit_np",
         ]
         assert sorted(name for name, obj in vars(errors).items()
                       if inspect.isclass(obj) and obj.__module__ == errors.__name__) == [

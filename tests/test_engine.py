@@ -31,6 +31,7 @@ from scalar_model import (
     delta_adaptiveness,
     entropy,
     entropy_normalized,
+    seed_derive,
     time_to_convergence,
 )
 
@@ -55,7 +56,7 @@ def batch_equals_scalar(point, replicates=3, horizon=FixedHorizon()):
     productions, entropy = batch.productions, batch.entropy
     assert productions.dtype == np.int16
     for r in range(replicates):
-        seed = rng.seed_derive(MASTER, 0, r)
+        seed = seed_derive(MASTER, 0, r)
         prods, entropies, conv = scalar_run(point, seed, rounds)
         n = max(conv, cycle) if horizon.open_ended and conv else rounds
         assert batch.n_rounds[r] == n
@@ -412,19 +413,6 @@ class TestActiveSet:
         batch = batch_equals_scalar(point, 12, UntilConvergence(40))
         assert compactions(batch) == 6
 
-    def test_smaller_batch_is_prefix_of_larger(self):
-        large = self.batch()
-        small = self.batch(2)
-        cols = small.entropy.shape[1]
-        assert cols < large.entropy.shape[1]
-        for name in self.METRICS:
-            assert np.array_equal(
-                getattr(small, name), getattr(large, name)[:2, :cols], equal_nan=True
-            )
-        assert np.array_equal(small.productions, large.productions[:2, : cols + 1])
-        for name in ("run_seeds", "quality_owners", "n_rounds", "convergence_rounds"):
-            assert np.array_equal(getattr(small, name), getattr(large, name)[:2])
-
     def test_columns_past_n_rounds_hold_the_fill(self):
         batch = self.batch()
         assert (batch.n_rounds < batch.entropy.shape[1]).any()
@@ -466,7 +454,7 @@ class TestActiveSet:
     def test_vectorized_seeds_equal_scalar_derivation(self, master, point_index):
         batch = run_replicates(ParameterPoint(), 5, master, point_index=point_index)
         assert [int(s) for s in batch.run_seeds] == [
-            rng.seed_derive(int(master), point_index, r) for r in range(5)
+            seed_derive(int(master), point_index, r) for r in range(5)
         ]
 
 
@@ -672,15 +660,34 @@ class TestValidationAndShapes:
         with pytest.raises(InvalidParamsError, match="rounds >="):
             run_replicates(ParameterPoint(), 2, MASTER, horizon=horizon)
 
-    def test_smaller_batch_is_prefix_of_larger(self):
+    @pytest.mark.parametrize("make", [FixedHorizon, UntilConvergence], ids=str)
+    def test_horizon_stops_where_the_cell_codes_fit_int64(self, make):
+        # Only the check: a run of 2**31 - 1 rounds with history would
+        # allocate about 17 GB per replicate at 8 agents.
+        assert engine.horizon_rounds(make(2**31 - 1), 7) == 2**31 - 1
+        with pytest.raises(InvalidParamsError, match="at most 2147483647"):
+            engine.horizon_rounds(make(2**31), 7)
+
+    @pytest.mark.parametrize("point,horizon,replicates", [
+        (ParameterPoint(content_sensitivity=0.2), FixedHorizon(), 4),
+        (TestActiveSet.POINT, TestActiveSet.HORIZON, 30),
+    ], ids=["fixed", "until-convergence"])
+    def test_smaller_batch_is_prefix_of_larger(self, point, horizon, replicates):
         # Replicate r's seed depends on r alone, so a 2-replicate batch is
-        # the first 2 rows of a 4-replicate batch.
-        point = ParameterPoint(content_sensitivity=0.2)
-        large = run_replicates(point, 4, MASTER)
-        small = run_replicates(point, 2, MASTER)
-        for name in ("run_seeds", "quality_owners", "productions", "entropy",
-                     "adaptiveness", "delta_adaptiveness", "convergence_rounds"):
+        # the first 2 rows of a larger one; under an open-ended horizon it
+        # may stop sooner, so it is their first columns too.
+        large = run_replicates(point, replicates, MASTER, horizon=horizon)
+        small = run_replicates(point, 2, MASTER, horizon=horizon)
+        cols = small.entropy.shape[1]
+        assert (cols < large.entropy.shape[1]) == horizon.open_ended
+        for name in TestActiveSet.METRICS:
+            assert np.array_equal(
+                getattr(small, name), getattr(large, name)[:2, :cols], equal_nan=True
+            )
+        assert np.array_equal(small.productions, large.productions[:2, : cols + 1])
+        for name in ("run_seeds", "quality_owners", "n_rounds", "convergence_rounds"):
             assert np.array_equal(getattr(small, name), getattr(large, name)[:2])
+        assert np.array_equal(small.run_seeds, rng.seed_derive(MASTER, 0, np.arange(2)))
 
     def test_metrics_recompute_from_productions(self):
         point = ParameterPoint(content_sensitivity=0.5, quality_owner=2)
@@ -978,6 +985,7 @@ class TestBenchmarkCallSurface:
         figures = result["trace"]["figures"]
         # The tiny grid has 2 points of 20 replicates on the early schedule.
         assert figures["engine.run_replicates.calls"] == 2
+        assert figures["rng.seed_derive.calls"] == 2
         assert figures["sink.write_point.calls"] == 2
         assert figures["output.summarize_batch.records"] > 0
         rows = figures["output.runs_block.rows"]

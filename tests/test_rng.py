@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 from microsoc import rng
-from scalar_model import owner_draw, production_uniform, to_unit
+from scalar_model import absorb, mix64, owner_draw, production_uniform, seed_derive, to_unit
 
 
 def test_known_answer_vector():
     # absorb(0, 0) evaluates the splitmix64 finalizer at the golden-ratio
     # increment, which is the first output of the published generator from
-    # state 0. This pins every mixing constant at once.
-    assert rng.absorb(0, 0) == 0xE220A8397B1DCDAF
+    # state 0. This pins every mixing constant at once, in the package and
+    # in the scalar reference.
+    assert absorb(0, 0) == 0xE220A8397B1DCDAF
+    assert rng.absorb_np(np.zeros(1, dtype=np.uint64), 0).tolist() == [0xE220A8397B1DCDAF]
 
 
 def test_mix64_is_bijective_on_samples():
     xs = np.random.default_rng(7).integers(0, 2**63, size=4096, dtype=np.uint64)
-    outs = {rng.mix64(int(x)) for x in xs}
+    outs = {mix64(int(x)) for x in xs}
     assert len(outs) == len(set(int(x) for x in xs))
 
 
@@ -24,7 +26,7 @@ def test_mix64_matches_numpy_path():
     xs = np.random.default_rng(11).integers(0, 2**64, size=10_000, dtype=np.uint64)
     vec = rng.mix64_np(xs)
     for i in range(0, 10_000, 997):
-        assert int(vec[i]) == rng.mix64(int(xs[i]))
+        assert int(vec[i]) == mix64(int(xs[i]))
 
 
 def test_absorb_matches_numpy_path():
@@ -32,13 +34,13 @@ def test_absorb_matches_numpy_path():
     words = np.random.default_rng(17).integers(0, 2**32, size=512, dtype=np.uint64)
     vec = rng.absorb_np(seeds, 0x50524F44, words, 3)
     for i in range(0, 512, 37):
-        assert int(vec[i]) == rng.absorb(int(seeds[i]), 0x50524F44, int(words[i]), 3)
+        assert int(vec[i]) == absorb(int(seeds[i]), 0x50524F44, int(words[i]), 3)
 
 
 def test_production_uniform_matches_numpy_grid():
     # The kernel builds each (run, agent) key once and folds in the round
     # each round; the two steps must give the scalar draw on every cell.
-    seeds = np.array([rng.seed_derive(99, 0, r) for r in range(64)], dtype=np.uint64)
+    seeds = rng.seed_derive(99, 0, np.arange(64))
     agents = np.arange(32, dtype=np.uint64)
     keys = rng.production_keys_np(seeds[:, None], agents[None, :])
     assert keys.shape == (64, 32)
@@ -57,17 +59,28 @@ def test_to_unit_range():
 
 
 def test_seed_derive_injective_over_sweep_ranges():
-    seen = set()
-    for point in range(200):
-        for rep in range(50):
-            seen.add(rng.seed_derive(20240101, point, rep))
-    assert len(seen) == 200 * 50
+    seeds = [rng.seed_derive(20240101, point, np.arange(50)) for point in range(200)]
+    assert len(np.unique(np.concatenate(seeds))) == 200 * 50
 
 
 def test_seed_derive_separates_adjacent_indices():
     for s in (0, 1, 2**63, 20240101):
-        assert rng.seed_derive(s, 0, 0) != rng.seed_derive(s, 0, 1)
-        assert rng.seed_derive(s, 0, 1) != rng.seed_derive(s, 1, 0)
+        first, second = rng.seed_derive(s, 0, np.arange(2))
+        (third,) = rng.seed_derive(s, 1, 0)
+        assert first != second != third
+
+
+# Any integer runs, numpy's and those outside [0, 2**64) too; a float is no seed.
+@pytest.mark.parametrize("master,point_index", [
+    *((master, 9) for master in (0, 2**64 - 1, 2**70 + 5, -3)),
+    (np.int64(5), 9), (np.int64(-1), 9), (20240101, -1), (20240101, 2**64 + 3),
+], ids=repr)
+def test_seed_derive_equals_scalar_reference(master, point_index):
+    assert rng.seed_derive(master, point_index, np.arange(5)).tolist() == [
+        seed_derive(int(master), point_index, r) for r in range(5)
+    ]
+    with pytest.raises(TypeError):
+        rng.seed_derive(float(master), point_index, 0)
 
 
 def test_unit_stream_statistics():
@@ -88,7 +101,7 @@ def test_production_uniform_deterministic_and_keyed():
 
 
 def test_owner_draw_in_range_and_covers_agents():
-    draws = [owner_draw(rng.seed_derive(5, 0, r), 8) for r in range(4096)]
+    draws = [owner_draw(seed_derive(5, 0, r), 8) for r in range(4096)]
     assert set(draws) == set(range(8))
     counts = np.bincount(draws, minlength=8)
     # Exact-uniform modulo on a power of two: loose 5-sigma binomial band.
@@ -100,4 +113,4 @@ def test_owner_draw_in_range_and_covers_agents():
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_owner_draw_never_out_of_range(n):
     for r in range(100):
-        assert 0 <= owner_draw(rng.seed_derive(1, 0, r), n) < n
+        assert 0 <= owner_draw(seed_derive(1, 0, r), n) < n
