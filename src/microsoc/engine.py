@@ -141,11 +141,6 @@ class ParameterPoint:
             raise InvalidParamsError(
                 f"schedule is for {schedule.n_agents} agents, point has {n}"
             )
-        if n < 2 or schedule.n_rounds == 0:
-            raise InvalidParamsError(
-                f"a schedule needs at least 2 agents and 1 round, got {n} "
-                f"agents and {schedule.n_rounds} rounds"
-            )
         violations = validate_schedule(schedule)
         if violations:
             raise ScheduleValidationError(violations)

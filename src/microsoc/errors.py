@@ -3,8 +3,9 @@
 Everything derives from MicrosocError so callers can catch the package's own
 failures without swallowing genuine bugs; the CLI maps it to exit 2. A bad
 argument raises InvalidParamsError, a bad configuration, checkpoint or input
-file ConfigError, and a bad schedule file ScheduleParseError or
-ScheduleValidationError, which carry where and what failed. All are also
+file ConfigError, a schedule file that does not parse ScheduleParseError,
+and a schedule, from a file or not, that breaks the rules
+ScheduleValidationError; the two carry where and what failed. All are also
 ValueError subclasses because they signal bad inputs.
 """
 
@@ -29,12 +30,12 @@ class ScheduleParseError(MicrosocError, ValueError):
 
 
 class ScheduleValidationError(MicrosocError, ValueError):
-    """A schedule file parsed but violates the pairing rules."""
+    """A schedule parsed but breaks the rules; violations are the messages
+    that validate_schedule gives."""
 
     def __init__(self, violations):
         self.violations = list(violations)
-        lines = "; ".join(str(v) for v in self.violations)
-        super().__init__(f"invalid schedule: {lines}")
+        super().__init__(f"invalid schedule: {'; '.join(self.violations)}")
 
 
 class ConfigError(MicrosocError, ValueError):

@@ -215,7 +215,7 @@ def _summary_record(row: list[str], path) -> SummaryRecord:
     if len(row) != 13:
         raise ConfigError(f"{path}: expected 13 columns, got {len(row)}")
     try:
-        return SummaryRecord(
+        rec = SummaryRecord(
             n_agents=int(row[0]), connectivity=row[1],
             content_bias=float(row[2]), coordination_bias=float(row[3]),
             memory=float(row[4]), mutation_rate=float(row[5]),
@@ -225,6 +225,13 @@ def _summary_record(row: list[str], path) -> SummaryRecord:
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: bad value in row {row!r}: {exc}") from None
+    # Every float is finite but an unbounded memory, which reads inf.
+    floats = (rec.content_bias, rec.coordination_bias, rec.mutation_rate,
+              rec.mean, rec.sd, rec.ci95)
+    if not (all(map(math.isfinite, floats))
+            and (math.isfinite(rec.memory) or rec.memory == math.inf)):
+        raise ConfigError(f"{path}: non-finite value in row {row!r}")
+    return rec
 
 
 def read_summary(path) -> list[SummaryRecord]:

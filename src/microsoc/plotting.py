@@ -119,6 +119,7 @@ def render_svg(records, metric: str, facet: str = "content_bias") -> str:
     ys_hi = [m + c for level in panels.values() for s in level.values()
              for m, c in zip(s[1], s[2])]
     x_min, x_max = min(xs_all), max(xs_all)
+    x_step = max(1, math.ceil((x_max - x_min) / 10))  # at most 11 round labels
     y_lo, y_hi = min(0.0, min(ys_lo)), max(ys_hi)
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
@@ -188,7 +189,7 @@ def render_svg(records, metric: str, facet: str = "content_bias") -> str:
                 f'<text x="{_fmt(x0 - 7)}" y="{_fmt(yy + 4)}" font-size="10" '
                 f'text-anchor="end">{v:g}</text>'
             )
-        for t in range(x_min, x_max + 1):
+        for t in range(x_min, x_max + 1, x_step):
             xx = sx(x0, t)
             parts.append(
                 f'<line x1="{_fmt(xx)}" y1="{_fmt(y0 + PANEL_H)}" x2="{_fmt(xx)}" '

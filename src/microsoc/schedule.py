@@ -172,71 +172,52 @@ def builtin_schedule(kind: ConnectivityKind | str, n_agents: int) -> Schedule:
     return _late_generalized(n_agents)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One rule broken by a schedule; round_no is 1-based, None if global."""
+def validate_schedule(schedule: Schedule, require_complete: bool = False) -> list[str]:
+    """The messages of the rules a schedule breaks, empty when it is valid:
+    the package's one check of a schedule.
 
-    kind: str  # "structure" | "repeat" | "incomplete"
-    round_no: int | None
-    message: str
-
-    def __str__(self) -> str:
-        where = f"round {self.round_no}: " if self.round_no is not None else ""
-        return f"{where}{self.message}"
-
-
-def validate_schedule(schedule: Schedule, require_complete: bool = False) -> list[Violation]:
-    """All rule violations, empty when valid.
-
-    Always checked: every round is a perfect matching (ids in range, no agent
-    twice, everyone paired) and no pair of agents meets twice. With
-    require_complete, every pair must meet exactly once (a full round-robin).
+    A schedule needs at least 2 agents and 1 round; without them that is the
+    only message. Otherwise always checked: every round is a perfect matching
+    (ids in range, no agent twice, everyone paired) and no pair of agents
+    meets twice. With require_complete, every pair must meet exactly once (a
+    full round-robin). A message about one round starts "round t: ".
     """
     n = schedule.n_agents
+    if n < 2 or not schedule.rounds:
+        return [f"a schedule needs at least 2 agents and 1 round, got {n} "
+                f"agents and {schedule.n_rounds} rounds"]
     violations = []
     seen_pairs: dict[Pair, int] = {}
     for t, matching in enumerate(schedule.rounds, start=1):
         used: set[int] = set()
         for a, b in matching:
             if not (0 <= a < n and 0 <= b < n):
-                violations.append(
-                    Violation("structure", t, f"agent id out of range in pair {a + 1}-{b + 1}")
-                )
+                violations.append(f"round {t}: agent id out of range in pair {a + 1}-{b + 1}")
                 continue
             if a == b:
-                violations.append(
-                    Violation("structure", t, f"agent {a + 1} paired with itself")
-                )
+                violations.append(f"round {t}: agent {a + 1} paired with itself")
                 continue
             for x in (a, b):
                 if x in used:
-                    violations.append(
-                        Violation("structure", t, f"agent {x + 1} appears in two pairs")
-                    )
+                    violations.append(f"round {t}: agent {x + 1} appears in two pairs")
             used.update((a, b))
             key = (min(a, b), max(a, b))
             if key in seen_pairs:
-                violations.append(
-                    Violation(
-                        "repeat",
-                        t,
-                        f"pair {key[0] + 1}-{key[1] + 1} already met in round {seen_pairs[key]}",
-                    )
-                )
+                violations.append(f"round {t}: pair {key[0] + 1}-{key[1] + 1} already met "
+                                  f"in round {seen_pairs[key]}")
             else:
                 seen_pairs[key] = t
         if len(used) < n:
             unpaired = (str(x + 1) for x in range(n) if x not in used)
-            violations.append(Violation(
-                "structure", t, "unpaired agents: " + _first_eight(unpaired, n - len(used))))
+            violations.append(
+                f"round {t}: unpaired agents: " + _first_eight(unpaired, n - len(used)))
     if require_complete:
         # seen_pairs holds only distinct in-range pairs, so the count is exact.
         n_missing = n * (n - 1) // 2 - len(seen_pairs)
         if n_missing:
             missing = (f"{a + 1}-{b + 1}" for a in range(n) for b in range(a + 1, n)
                        if (a, b) not in seen_pairs)
-            violations.append(Violation(
-                "incomplete", None, "pairs never meeting: " + _first_eight(missing, n_missing)))
+            violations.append("pairs never meeting: " + _first_eight(missing, n_missing))
     return violations
 
 
@@ -330,10 +311,6 @@ def _parse_text(text: str) -> Schedule:
                     lineno,
                     line.index("=") + 2,
                 ) from None
-            if n_agents < 2:
-                raise ScheduleParseError(
-                    f"need at least 2 agents, got {n_agents}", lineno
-                )
             continue
         pairs = []
         col = 1
@@ -366,7 +343,7 @@ def _parse_json(text: str) -> Schedule:
     # type() rather than isinstance(): a JSON true or false is a bool, which
     # subclasses int, and is neither an agent count nor an agent id.
     n_agents = doc["agents"]
-    if type(n_agents) is not int or n_agents < 2:
+    if type(n_agents) is not int:
         raise ScheduleParseError(f"bad agent count {n_agents!r}", 1)
     if not isinstance(doc["rounds"], list):
         raise ScheduleParseError(f"'rounds' must be a list, got {doc['rounds']!r}", 1)
@@ -387,8 +364,8 @@ def _parse_json(text: str) -> Schedule:
 def loads_schedule(text: str, require_complete: bool = False) -> Schedule:
     """Parse a schedule from text (auto-detects JSON) and validate it.
 
-    Structural violations and repeated pairs always raise
-    ScheduleValidationError; incompleteness only with require_complete.
+    Every violation validate_schedule reports raises ScheduleValidationError;
+    incompleteness is one only with require_complete.
     """
     stripped = text.lstrip()
     schedule = _parse_json(text) if stripped.startswith("{") else _parse_text(text)

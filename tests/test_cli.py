@@ -317,6 +317,23 @@ class TestScheduleCommands:
         assert code == 2
         assert "'rounds' must be a list" in err
 
+    @pytest.mark.parametrize("command", [("schedule", "validate"),
+                                         ("schedule", "reach", "--file"),
+                                         ("simulate", "--connectivity")], ids=" ".join)
+    @pytest.mark.parametrize("name,text,size", [
+        ("empty.txt", "agents=8\n", "8 agents and 0 rounds"),
+        ("empty.json", '{"agents": 8, "rounds": []}', "8 agents and 0 rounds"),
+        ("lone.txt", "agents=1\n", "1 agents and 0 rounds"),
+    ], ids=["no-rounds-text", "no-rounds-json", "one-agent"])
+    def test_too_small_a_schedule_is_refused_everywhere(self, capsys, tmp_path, command,
+                                                        name, text, size):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *command, str(path))
+        assert code == 2
+        assert f"a schedule needs at least 2 agents and 1 round, got {size}" in out + err
+        assert "Traceback" not in out + err
+
     def test_validate_lists_at_most_eight_unpaired_agents(self, capsys, tmp_path):
         path = tmp_path / "wide.txt"
         path.write_text("agents=100000\n1-2\n")
@@ -889,6 +906,9 @@ class TestPlot:
         assert text.startswith("<svg")
         assert "<path" in text
         assert text.count('stroke="#') >= 3  # one line per connectivity level
+        # Every round of the 7-round sweep is labelled, in each panel.
+        labels = re.findall(r'text-anchor="middle">(\d+)</text>', text)
+        assert labels == [str(t) for t in range(1, 8)] * 2
 
     def test_burst_markers_on_change_rate_plot(self, capsys, tmp_path, summary_file):
         out = tmp_path / "delta.svg"
@@ -920,6 +940,35 @@ class TestPlot:
         assert code == 2
         assert "'foo'" in err
         assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("column,value", [
+        ("content_bias", "nan"), ("coordination_bias", "inf"), ("memory", "nan"),
+        ("memory", "-inf"), ("mutation_rate", "nan"), ("mean", "nan"), ("mean", "inf"),
+        ("sd", "nan"), ("ci95", "-inf"),
+    ])
+    def test_non_finite_value_is_a_usage_error(self, capsys, tmp_path, column, value):
+        fields = dict(zip(SUMMARY_HEADER.split(","),
+                          "8,early,0,0.5,inf,0.02,1,entropy,3,0.1,0.05,10,0".split(",")))
+        fields[column] = value
+        summary = tmp_path / "summary.csv"
+        summary.write_text(SUMMARY_HEADER + "\n" + ",".join(fields.values()) + "\n")
+        code, _, err = run_cli(
+            capsys, "plot", str(summary), "--out", str(tmp_path / "x.svg")
+        )
+        assert code == 2
+        assert f"{summary}: non-finite value" in err and "Traceback" not in err
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_round_labels_are_at_most_eleven(self, capsys, tmp_path):
+        summary = tmp_path / "summary.csv"
+        summary.write_text(SUMMARY_HEADER + "\n" + "".join(
+            f"8,early,0,0.5,inf,0.02,{t},entropy,3,0.1,0.05,10,0\n" for t in (1, 1000)))
+        started = time.monotonic()
+        code, _, _ = run_cli(capsys, "plot", str(summary), "--out", str(tmp_path / "x.svg"))
+        assert code == 0 and time.monotonic() - started < 5
+        labels = re.findall(r'text-anchor="middle">(\d+)</text>',
+                            (tmp_path / "x.svg").read_text())
+        assert labels == [str(t) for t in range(1, 1000, 100)]
 
     def test_missing_summary_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(

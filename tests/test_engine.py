@@ -640,9 +640,9 @@ class TestValidationAndShapes:
         )), ScheduleValidationError, "appears in two pairs"),
         (ParameterPoint(connectivity=Schedule(8, (((0, 1),),) * 7)),
          ScheduleValidationError, "unpaired agents"),
-        (ParameterPoint(connectivity=Schedule(8, ())), InvalidParamsError, "0 rounds"),
+        (ParameterPoint(connectivity=Schedule(8, ())), ScheduleValidationError, "0 rounds"),
         (ParameterPoint(n_agents=0, connectivity=Schedule(0, ((),))),
-         InvalidParamsError, "0 agents"),
+         ScheduleValidationError, "0 agents"),
         (ParameterPoint(n_agents=8.0), InvalidParamsError, "n_agents must be an integer"),
         (ParameterPoint(quality_owner=1.5), InvalidParamsError, "quality owner 1.5"),
     ], ids=["ring", "partial_matching", "zero_rounds", "no_agents", "float_agents",
