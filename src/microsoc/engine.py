@@ -27,8 +27,8 @@ never decreases, so the last variant needs no comparison. The uniforms come
 from the same counter-based keys: a production uniform folds the round into
 its (run, agent) key last, so the keys are built once per point and a round
 costs one mix. A batched run is therefore bit-identical to the scalar
-reference loop; tests enforce that. A batch stores, for each round, the rows
-the kernel stepped and their entropy and high-quality count, the two metrics
+reference loop; tests enforce that. A batch stores, for each round, the
+entropy and high-quality count of the replicates that ran it, the two metrics
 the kernel measures; it builds each (replicates, rounds) metric array on
 access.
 
@@ -247,15 +247,13 @@ def _production_probability(owner, pooled, beta, mu, mu_floor):
 class BatchResult:
     """Per-round metrics for all replicates of one point.
 
-    stepped holds one (rows, entropy, quality_counts) triple per executed
-    round: the replicate rows the kernel stepped, ascending, and those rows'
+    rounds holds one (entropy, quality_counts) pair per executed round: the
     entropy (float64) and high-quality count (how many of the round's n
-    productions are the high-quality variant, in the history's dtype). Its
-    readers take one round at a time and index by replicate id, so they need
-    nothing of rows but its values.
-    n_rounds[r] says how many leading rounds are meaningful for replicate r
-    (they differ only in until-convergence mode); a replicate not stepped in
-    a round is past its n_rounds there. history is every round's
+    productions are the high-quality variant, in the history's dtype) of each
+    replicate that ran the round.
+    n_rounds[r] says how many leading rounds replicate r ran (they differ
+    only in until-convergence mode), so round t's pair holds the replicates
+    with n_rounds >= t, in ascending id. history is every round's
     productions, (replicates, max_rounds + 1, n_agents), int8 below 128
     agents and int16 otherwise, or None for a batch run with history=False:
     column 0 holds each agent's seed variant, and what agents heard in round
@@ -273,29 +271,26 @@ class BatchResult:
     run_seeds: np.ndarray
     quality_owners: np.ndarray
     n_rounds: np.ndarray
-    stepped: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    rounds: list[tuple[np.ndarray, np.ndarray]]
     convergence_rounds: np.ndarray  # 0 where censored
     history: np.ndarray | None
 
     def _dense(self, part: int, fill) -> np.ndarray:
-        """Part `part` of the stepped triples as (replicates, rounds), with
-        fill past n_rounds: each round scattered into its rows."""
-        stepped = self.stepped
-        out = np.full((self.n_replicates, len(stepped)), fill, dtype=stepped[0][part].dtype)
-        for t, triple in enumerate(stepped):
-            out[triple[0], t] = triple[part]
-        # Retirees are stepped past their n_rounds until the next compaction.
-        if self.horizon.open_ended:
-            np.copyto(out, fill, where=np.arange(len(stepped)) >= self.n_rounds[:, None])
+        """Part `part` of the round pairs as (replicates, rounds), with fill
+        past n_rounds: each round scattered into the replicates that ran it."""
+        rounds = self.rounds
+        out = np.full((self.n_replicates, len(rounds)), fill, dtype=rounds[0][part].dtype)
+        for t, pair in enumerate(rounds):
+            out[self.n_rounds > t, t] = pair[part]
         return out
 
     @property
     def entropy(self) -> np.ndarray:
-        return self._dense(1, np.nan)
+        return self._dense(0, np.nan)
 
     @property
     def quality_counts(self) -> np.ndarray:
-        return self._dense(2, -1)
+        return self._dense(1, -1)
 
     @property
     def productions(self) -> np.ndarray:
@@ -371,7 +366,7 @@ def run_replicates(
     hist_dtype = np.int8 if n < 128 else np.int16
     prods = np.empty((replicates, L, n), dtype=hist_dtype)
     prods[:, 0, :] = np.arange(n, dtype=hist_dtype)
-    stepped = []
+    rounds = []
     conv = np.zeros(replicates, dtype=np.int64)
     # What a count adds to a round's entropy: the pool always holds n.
     term_table = metrics.count_terms(np.arange(n + 1), n)
@@ -464,12 +459,16 @@ def run_replicates(
         return hits.reshape(k, n)
 
     def measure(t, idx):
-        """Store round t's productions idx and the metrics of its pools."""
+        """Store round t's productions idx and the metrics of its runners' pools."""
         prods[active, t % L, :] = idx
         pool_counts = np.bincount((pool_base + idx).ravel(), minlength=k * n_variants)
         h = metrics.entropy_from_terms(term_table[pool_counts.reshape(k, n_variants)])
-        stepped.append((rows, h, pool_counts[owner_pool].astype(hist_dtype)))
-        conv[rows[(conv[active] == 0) & (h == 0.0)]] = t
+        counts = pool_counts[owner_pool].astype(hist_dtype)
+        ran = conv[active] == 0  # before this round's convergences are set
+        conv[rows[ran & (h == 0.0)]] = t
+        if horizon.open_ended and t > cycle and not ran.all():
+            h, counts = h[ran], counts[ran]
+        rounds.append((h, counts))
 
     for t in range(1, max_rounds + 1):
         k = len(rows)
@@ -487,9 +486,9 @@ def run_replicates(
         if horizon.open_ended and t >= cycle:
             # A converged replicate's n_rounds is final from here on, so it
             # retires. Retirees keep being stepped until a quarter of the set
-            # has retired; what they compute meanwhile lands past n_rounds,
-            # where the fill below overwrites it. After the last round no
-            # round reads the set, so it is left as it is.
+            # has retired; measure drops their metrics, and the fill below
+            # overwrites their productions past n_rounds. After the last round
+            # no round reads the set, so it is left as it is.
             keep = conv[active] == 0
             kept = int(np.count_nonzero(keep))
             if kept == 0:
@@ -527,7 +526,7 @@ def run_replicates(
         run_seeds=seeds,
         quality_owners=owners,
         n_rounds=n_rounds,
-        stepped=stepped,
+        rounds=rounds,
         convergence_rounds=conv,
         history=kept_history,
     )

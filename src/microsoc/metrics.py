@@ -114,7 +114,8 @@ def pooled(stats: Sequence[AggregateStats]) -> AggregateStats:
     if total_n < 2:
         raise InvalidParamsError("pooled sample needs at least 2 values")
     mean = sum(s.n * s.mean for s in stats) / total_n
-    ss = sum((s.n - 1) * s.sd**2 + s.n * (s.mean - mean) ** 2 for s in stats)
+    # Products, not **, which raises OverflowError where a product gives inf.
+    ss = sum((s.n - 1) * s.sd * s.sd + s.n * (s.mean - mean) * (s.mean - mean) for s in stats)
     sd = math.sqrt(max(ss, 0.0) / (total_n - 1))
     return AggregateStats(mean, sd, 1.96 * sd / math.sqrt(total_n), total_n)
 

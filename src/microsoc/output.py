@@ -100,8 +100,6 @@ def runs_block(batch) -> str:
     n_cols = entropy.shape[1]
     # Row-major order of the meaningful cells is the file's run/round order.
     run_idx, round_idx = np.nonzero(np.arange(n_cols) < batch.n_rounds[:, None])
-    if len(run_idx) == 0:
-        return ""
     n = batch.point.n_agents
     levels, ent_code = np.unique(entropy[run_idx, round_idx].view(np.uint64),
                                  return_inverse=True)
@@ -161,17 +159,16 @@ def summarize_batch(batch) -> list[SummaryRecord]:
     out = []
     n_agents = batch.point.n_agents
     # Each replicate's adaptiveness in the round before, by replicate id; a
-    # replicate stepped in a round was stepped in every round before it.
+    # replicate that ran a round ran every round before it.
     prev_a = np.full(batch.n_replicates, 1 / n_agents)
-    for t, (rows, h, counts) in enumerate(batch.stepped, 1):
-        runners = batch.n_rounds[rows] >= t
-        n = int(np.count_nonzero(runners))
+    for t, (e, counts) in enumerate(batch.rounds, 1):
+        n = len(e)
         if n < 2:  # and fewer in every later round
             break
-        a = metrics.adaptiveness(counts, n_agents)
-        e, now = h.compress(runners), a.compress(runners)
-        before = prev_a[rows].compress(runners)
-        prev_a[rows] = a
+        ran = batch.n_rounds >= t
+        now = metrics.adaptiveness(counts, n_agents)
+        before = prev_a[ran]
+        prev_a[ran] = now
         # C order, as aggregate_rows expects.
         table = np.stack([e, metrics.entropy_norm(e, n_agents), now,
                           metrics.delta_adaptiveness(now, before)])

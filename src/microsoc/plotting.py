@@ -13,6 +13,7 @@ give byte-identical SVG. No plotting library is involved.
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
 
 from . import metrics
@@ -48,23 +49,18 @@ def _fmt_level(x: float) -> str:
 
 
 def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    """A handful of round tick values covering [lo, hi]."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """A handful of round tick values covering [lo, hi], a finite range at
+    least as wide as the smallest normal float."""
     raw = (hi - lo) / (n - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
         if step >= raw:
             break
-    start = math.floor(lo / step) * step
-    ticks = []
-    v = start
-    while v <= hi + step / 2:
-        if v >= lo - step / 2:
-            ticks.append(round(v, 10))
-        v += step
-    return ticks
+    # Multiples of step, not a running sum, which stalls where step is below
+    # half an ulp of the sum: at most n + 2 of them.
+    return [round(i * step, 10) for i in range(math.floor(lo / step), math.ceil(hi / step) + 1)
+            if lo - step / 2 <= i * step <= hi + step / 2]
 
 
 def _pool_series(records, metric: str, facet: str):
@@ -121,10 +117,15 @@ def render_svg(records, metric: str, facet: str = "content_bias") -> str:
     x_min, x_max = min(xs_all), max(xs_all)
     x_step = max(1, math.ceil((x_max - x_min) / 10))  # at most 11 round labels
     y_lo, y_hi = min(0.0, min(ys_lo)), max(ys_hi)
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    if not y_hi - y_lo >= sys.float_info.min:
+        # Too narrow to tick: one unit wider, or 2**-40 of y_lo where one
+        # unit is lost in y_lo's rounding.
+        y_hi = y_lo + max(1.0, -y_lo / 2**40)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not all(map(math.isfinite, (*ys_lo, *ys_hi, y_hi - y_lo))):
+        raise InvalidParamsError(
+            f"cannot plot {metric!r}: a pooled statistic or the y range is not finite")
 
     levels = sorted(panels)
     n_cols = min(PANELS_PER_ROW, len(levels))

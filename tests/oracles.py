@@ -150,6 +150,23 @@ def reference_reach(matchings, source: int):
     return profile
 
 
+def compactions(batch):
+    """How often the kernel compacted the batch's active set, from its
+    convergence rounds: after each round from the cycle's last on but the
+    horizon's last, once a quarter of the set has converged, the set drops
+    those replicates, and a later round steps the rest."""
+    left = batch.convergence_rounds
+    count = 0
+    for t in range(batch.point.validate().n_rounds, batch.horizon.max_rounds):
+        done = (left > 0) & (left <= t)
+        if done.all():
+            break
+        if 4 * np.count_nonzero(done) >= len(left):
+            count += 1
+            left = left[~done]
+    return count
+
+
 def scalar_run(point: ParameterPoint, run_seed: int, rounds: int | None = None):
     """A full simulation run built only from the scalar primitives.
 

@@ -241,6 +241,12 @@ class TestSimulate:
         assert "Traceback" not in err and out == ""
         assert not (tmp_path / DEFAULT_CONFIG["output_dir"]).exists()
 
+    @pytest.mark.parametrize("memory", ["inf", "unbounded"])
+    def test_an_unbounded_memory_flag_runs(self, capsys, memory):
+        code, out, err = run_cli(capsys, "simulate", "--memory", memory)
+        assert (code, err) == (0, "")
+        assert len([line for line in out.splitlines() if re.match(r"\s+\d+ ", line)]) == 7
+
     def test_readme_quick_start_output_matches(self, capsys):
         readme = README.read_text(encoding="utf-8")
         section = readme.split("## Command-line quick start\n")[1].split("\n## ")[0]
@@ -970,6 +976,35 @@ class TestPlot:
                             (tmp_path / "x.svg").read_text())
         assert labels == [str(t) for t in range(1, 1000, 100)]
 
+    # Finite rows at the edge of a float: two means one ulp apart, where a
+    # tick loop that adds its step never moves; a flat series too far from 0
+    # for a unit to widen it, or a span too small to divide; and means, sds
+    # or CIs whose sums or squares overflow, which have no finite plot.
+    @pytest.mark.parametrize("rows,code", [
+        (("1,-1.0,0,0", "2,-1.0000000000000002,0,0"), 0),
+        (("1,-1e300,0,0",), 0),
+        (("1,5e-324,0,0",), 0),
+        (("1,1e308,1e308,1e308",), 2),
+        (("1,1e308,0,1e308", "2,-1e308,0,1e308"), 2),
+    ], ids=["one-ulp-apart", "flat-at-minus-1e300", "subnormal-span", "sd-overflows",
+            "range-overflows"])
+    def test_extreme_finite_values_neither_hang_nor_crash(self, tmp_path, rows, code):
+        summary, svg = tmp_path / "summary.csv", tmp_path / "x.svg"
+        summary.write_text(SUMMARY_HEADER + "\n" + "".join(
+            f"8,early,0,0.5,inf,0.02,{t},delta_adaptiveness,{mean},{sd},{ci},10,0\n"
+            for t, mean, sd, ci in (row.split(",") for row in rows)))
+        command, env = cli_command("plot", str(summary), "--metric", "delta_adaptiveness",
+                                   "--out", str(svg))
+        proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 0:
+            assert svg.read_text().startswith("<svg")
+        else:
+            assert proc.stderr == ("error: cannot plot 'delta_adaptiveness': a pooled "
+                                   "statistic or the y range is not finite\n")
+            assert not svg.exists()
+
     def test_missing_summary_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -978,6 +1013,60 @@ class TestPlot:
         )
         assert code == 1
         assert "error" in err
+
+
+SCHEDULE_FILE = ("simulate", "--connectivity", "{path}", "--out", "{out}")
+PLOT_FILE = ("plot", "{path}", "--out", "{out}")
+
+
+@pytest.mark.parametrize("argv,content,message", [
+    (("sweep", "{path}"), "{", "is not valid JSON"),
+    (("sweep", "{path}"), "[]", "config must be a JSON object"),
+    (("sweep", "{path}"), '{"population_sizes": 8}', "population_sizes must be a list"),
+    (("sweep", "{path}"), '{"horizon_mode": "forever"}',
+     "horizon_mode must be 'fixed' or 'until_convergence'"),
+    (("sweep", "{path}"), '{"output_dir": ""}', "output_dir must be a nonempty path"),
+    (("simulate", "--max-rounds", "50", "--out", "{out}"), None,
+     "--max-rounds only applies with --until-convergence"),
+    (("simulate", "--memory", "2.5", "--out", "{out}"), None,
+     "memory window must be a positive integer or 'inf', got '2.5'"),
+    (("simulate", "--quality-owner", "0", "--out", "{out}"), None,
+     "quality owner must be >= 1"),
+    (("schedule", "reach", "--kind", "early", "--source", "0"), None,
+     "source agent must be >= 1"),
+    (("schedule", "reach", "--kind", "early", "--source", "9"), None,
+     "--source 9 exceeds population of 8"),
+    (SCHEDULE_FILE, "agents=x\n1-2 3-4 5-6 7-8\n", "agent count is not an integer: 'x'"),
+    (SCHEDULE_FILE, "1-2 3-4 5-6 7-8\n", "expected header 'agents=N' before pairings"),
+    (SCHEDULE_FILE, "agents=8\n1-1 2-3 4-5 6-7\n", "round 1: agent 1 paired with itself"),
+    (SCHEDULE_FILE, '{"agents": 8, "rounds": [[[1, 2]', "line 1, column 33: Expecting"),
+    (SCHEDULE_FILE, '{"agents": 8}', "document must have exactly 'agents' and 'rounds'"),
+    (PLOT_FILE, SUMMARY_HEADER + "\n8,early,0\n", "expected 13 columns, got 3"),
+    (PLOT_FILE, SUMMARY_HEADER + "\n8,early,0,0.5,inf,0.02,1,entropy,x,0,0,10,0\n",
+     "bad value in row"),
+    (PLOT_FILE, SUMMARY_HEADER + "\n", "no 'entropy' rows in the summary"),
+], ids=["config-not-json", "config-array", "level-not-a-list", "horizon-mode",
+        "empty-output-dir", "max-rounds-alone", "memory-2.5", "quality-owner-0",
+        "source-0", "source-9", "agents-x", "no-header", "self-pair", "truncated-json",
+        "json-without-rounds", "summary-3-columns", "summary-not-a-number",
+        "summary-header-only"])
+def test_a_refused_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, content,
+                                          message):
+    # Run where a default output_dir would land, so that anything written shows.
+    monkeypatch.chdir(tmp_path)
+    path, out = tmp_path / "input", tmp_path / "out"
+    if content is not None:
+        path.write_text(content)
+    before = sorted(tmp_path.iterdir())
+    try:
+        code = main([a.format(path=path, out=out) for a in argv])
+    except SystemExit as exc:  # argparse refuses a flag with a usage line
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(("usage: ", "error: "))
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("argv", [

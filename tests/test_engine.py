@@ -25,7 +25,7 @@ from microsoc.errors import InvalidParamsError, MicrosocError, ScheduleValidatio
 from microsoc.output import CsvSweepSink, MemorySink, summarize_batch, summary_block
 from microsoc.schedule import ConnectivityKind, Schedule, builtin_schedule
 
-from oracles import scalar_run
+from oracles import compactions, scalar_run
 from scalar_model import (
     adaptiveness,
     delta_adaptiveness,
@@ -73,23 +73,6 @@ def two_matchings(n):
         [(a, a + 1) for a in range(0, n, 2)],
         [(a, (a + 1) % n) for a in range(1, n, 2)],
     ))
-
-
-def compactions(batch):
-    """How often the kernel compacted the batch's active set, from its
-    convergence rounds: after each round from the cycle's last on but the
-    horizon's last, once a quarter of the set has converged, the set drops
-    those replicates, and a later round steps the rest."""
-    left = batch.convergence_rounds
-    count = 0
-    for t in range(batch.point.validate().n_rounds, batch.horizon.max_rounds):
-        done = (left > 0) & (left <= t)
-        if done.all():
-            break
-        if 4 * np.count_nonzero(done) >= len(left):
-            count += 1
-            left = left[~done]
-    return count
 
 
 class TestScalarAgreement:
@@ -442,9 +425,33 @@ class TestActiveSet:
         batch = run_replicates(self.POINT, replicates, MASTER,
                                horizon=UntilConvergence(200))
         monkeypatch.undo()
-        row_sets = len({id(rows) for rows, _, _ in batch.stepped})
         assert batch.entropy.shape[1] == 200
-        assert compactions(batch) == row_sets - 1 == len(masks)
+        assert compactions(batch) == len(masks)
+
+    @pytest.mark.parametrize("point,replicates,horizon", [
+        # The two compacted sets of TestHistoryFree, whose retirees are
+        # stepped for some rounds before a compaction drops them, and a
+        # fixed horizon, where every replicate runs every round, also after
+        # it converges.
+        pytest.param(ParameterPoint(coordination_bias=0.5, content_sensitivity=0.5), 12,
+                     UntilConvergence(40), id="compacted-unbounded"),
+        pytest.param(POINT, 30, HORIZON, id="compacted-memory-3"),
+        pytest.param(ParameterPoint(content_sensitivity=0.5), 3, FixedHorizon(40),
+                     id="fixed"),
+    ])
+    def test_a_batch_records_only_the_rounds_its_runs_reached(self, point, replicates,
+                                                              horizon):
+        batch = run_replicates(point, replicates, MASTER, horizon=horizon)
+        if horizon.open_ended:
+            assert compactions(batch) >= 2
+        entropy, counts = batch.entropy, batch.quality_counts
+        assert len(batch.rounds) == entropy.shape[1]
+        for t, (e, q) in enumerate(batch.rounds, 1):
+            ran = batch.n_rounds >= t
+            assert len(e) == len(q) == np.count_nonzero(ran)
+            assert (e.dtype, e.tobytes()) == (entropy.dtype, entropy[ran, t - 1].tobytes())
+            assert (q.dtype, q.tobytes()) == (counts.dtype, counts[ran, t - 1].tobytes())
+        assert sum(len(e) for e, _ in batch.rounds) == batch.n_rounds.sum()
 
     # Any integer runs, numpy's and those outside [0, 2**64) too.
     @pytest.mark.parametrize("master,point_index", [
@@ -755,7 +762,7 @@ class TestWorkingMemory:
 
     def test_an_until_convergence_point_stays_small(self):
         # The batch stores entropy (8 bytes) and the quality count (1) per
-        # stepped run-round, 84k of the 200k run-rounds here, and the one-byte
+        # run-round reached, 76k of the 200k run-rounds here, and the one-byte
         # history (8) per run-round: 2.4 MB. The kernel's working state comes
         # on top: its codes (0.5 MB), keys and draw buffers, and the
         # temporaries of one round step. Any one float64 (replicates, rounds)
@@ -768,8 +775,8 @@ class TestWorkingMemory:
         assert self.traced(lambda: summarize_batch(batch))[2] <= 0.5e6
 
     def test_a_history_free_point_stays_smaller(self):
-        # Without history the batch holds 8 + 1 bytes per stepped run-round,
-        # 0.8 MB, and the kernel keeps 4 rounds of productions (32 kB) in
+        # Without history the batch holds 8 + 1 bytes per run-round reached,
+        # 0.7 MB, and the kernel keeps 4 rounds of productions (32 kB) in
         # place of 201 (1.6 MB).
         batch, held, peak = self.traced(
             lambda: run_replicates(self.POINT, 1000, MASTER, horizon=UntilConvergence(200),

@@ -176,6 +176,11 @@ class TestAggregate:
         assert merged.ci95 == pytest.approx(flat.ci95, abs=1e-12)
 
 
+    def test_pooling_overflows_to_inf_without_raising(self):
+        # A square past the largest float is inf, as the product gives it.
+        merged = metrics.pooled([metrics.AggregateStats(1e308, 1e308, 1e308, 10)])
+        assert (merged.mean, merged.sd, merged.ci95, merged.n) == (math.inf,) * 3 + (10,)
+
 # -0.0, subnormals and values whose squares or sums overflow, beside
 # ordinary ones.
 EDGE_FLOATS = st.one_of(

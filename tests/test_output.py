@@ -37,7 +37,7 @@ from microsoc.output import (
     summary_block,
 )
 from microsoc.schedule import ConnectivityKind
-from oracles import reference_runs_block
+from oracles import compactions, reference_runs_block
 
 MASTER = 20240101
 
@@ -124,11 +124,11 @@ def assert_matches_reference(batch):
     assert runs_block(batch).split("\n") == reference_runs_block(batch).split("\n")
 
 
-def one_group(entropy, counts):
-    """A batch's per-round form of (replicates, rounds) arrays: every round
-    steps every row, so all rounds share one rows array."""
-    rows = np.arange(len(entropy))
-    return [(rows, e, q) for e, q in zip(entropy.T, counts.T)]
+def one_group(entropy, counts, n_rounds):
+    """A batch's per-round form of (replicates, rounds) arrays: round t's
+    pair holds the values of the replicates that ran it."""
+    return [(entropy[n_rounds > t, t], counts[n_rounds > t, t])
+            for t in range(entropy.shape[1])]
 
 
 class TestRunsBlockMatchesReference:
@@ -171,7 +171,7 @@ class TestRunsBlockMatchesReference:
             run_seeds=np.array([7, 2**64 - 1, 0], dtype=np.uint64),
             quality_owners=np.array([0, 7, 3]),
             n_rounds=np.array([8, 5, 8]),
-            stepped=one_group(ragged, counts),
+            rounds=one_group(ragged, counts, np.array([8, 5, 8])),
             convergence_rounds=np.zeros(3, dtype=np.int64),
             history=np.zeros((3, 9, 8), dtype=np.int64),
         )
@@ -195,8 +195,8 @@ class TestRunsBlockMatchesReference:
             run_seeds=np.zeros(1, dtype=np.uint64),
             quality_owners=np.zeros(1, dtype=np.int64),
             n_rounds=np.array([rounds]),
-            stepped=one_group(((t % 2**17 + 1) / (2**17 + 1.0))[None, :],
-                              (t % (n + 1)).astype(np.int16)[None, :]),
+            rounds=one_group(((t % 2**17 + 1) / (2**17 + 1.0))[None, :],
+                             (t % (n + 1)).astype(np.int16)[None, :], np.array([rounds])),
             convergence_rounds=np.zeros(1, dtype=np.int64),
             history=np.zeros((1, rounds + 1, 1), dtype=np.int16),
         )
@@ -290,13 +290,13 @@ class TestSummaries:
 
     def test_summaries_across_compactions(self):
         # Drift under memory 3 converges a few replicates at a time, so the
-        # active set compacts again and again, and each round's runners are
-        # found among rows that an earlier compaction renumbered.
+        # active set compacts again and again, and the kernel steps retirees
+        # for some rounds before each compaction drops them.
         point = ParameterPoint(coordination_bias=1.0, content_sensitivity=0.0,
                                memory_window=3.0)
         batch = run_replicates(point, 300, MASTER, horizon=UntilConvergence(200),
                                history=False)
-        assert len({id(rows) for rows, _, _ in batch.stepped}) - 1 >= 5
+        assert compactions(batch) >= 5
         records = summarize_batch(batch)
         metric_arrays = [getattr(batch, name) for name in ROUND_METRICS]
         expected = []
@@ -315,30 +315,6 @@ class TestSummaries:
         assert [(r.round_no, r.metric, r.mean.hex(), r.sd.hex(), r.ci95.hex(), r.n,
                  r.censored_n) for r in records] == expected
 
-    def test_readers_go_by_replicate_id_not_by_the_rows_object(self):
-        # The kernel hands one rows object on from a compaction to the rounds
-        # after it; the readers must not depend on that, so a batch whose
-        # every round carries its own equal copy reads the same.
-        point = ParameterPoint(coordination_bias=1.0, content_sensitivity=0.0,
-                               memory_window=3.0)
-        batch = run_replicates(point, 300, MASTER, horizon=UntilConvergence(200),
-                               history=False)
-        assert len({id(rows) for rows, _, _ in batch.stepped}) - 1 >= 5
-        copied = dataclasses.replace(
-            batch, stepped=[(rows.copy(), h, counts) for rows, h, counts in batch.stepped])
-        assert len({id(rows) for rows, _, _ in copied.stepped}) == len(copied.stepped)
-
-        def fields(records):
-            # hex() tells -0.0 from 0.0, which summary.csv writes apart.
-            return [tuple(v.hex() if isinstance(v, float) else v
-                          for v in dataclasses.astuple(r)) for r in records]
-
-        assert fields(summarize_batch(copied)) == fields(summarize_batch(batch))
-        for name in ("entropy", "quality_counts"):
-            got, want = getattr(copied, name), getattr(batch, name)
-            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
-                                                            want.tobytes()), name
-
     def test_open_ended_batches_add_convergence_row(self):
         batch = run_replicates(
             ParameterPoint(content_sensitivity=0.8),
@@ -353,6 +329,29 @@ class TestSummaries:
         assert tc[0].n + tc[0].censored_n == 15
         conv = batch.convergence_rounds[batch.convergence_rounds > 0]
         assert tc[0].mean == metrics.aggregate(conv.astype(float)).mean
+
+    def test_a_single_converged_run_has_no_spread(self):
+        # Of three runs only the second converges, at round 9, and stops;
+        # the time to convergence is summarized over that one run.
+        n_rounds = np.array([12, 9, 12])
+        entropy = np.where(np.arange(12) < n_rounds[:, None], 1.5, np.nan)
+        entropy[1, 8] = 0.0
+        counts = np.where(np.arange(12) < n_rounds[:, None], 3, -1).astype(np.int8)
+        batch = BatchResult(
+            point=ParameterPoint(),
+            horizon=UntilConvergence(12),
+            run_seeds=np.arange(3, dtype=np.uint64),
+            quality_owners=np.zeros(3, dtype=np.int64),
+            n_rounds=n_rounds,
+            rounds=one_group(entropy, counts, n_rounds),
+            convergence_rounds=np.array([0, 9, 0]),
+            history=None,
+        )
+        records = summarize_batch(batch)
+        tc = [r for r in records if r.metric == TC_METRIC]
+        assert [(r.round_no, r.mean, r.sd, r.ci95, r.n, r.censored_n) for r in tc] == [
+            (0, 9.0, 0.0, 0.0, 1, 2)]
+        assert {r.n for r in records if r.round_no in (9, 10)} == {3, 2}
 
     def test_no_convergence_row_when_none_converged(self):
         batch = run_replicates(
