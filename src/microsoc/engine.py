@@ -27,17 +27,13 @@ never decreases, so the last variant needs no comparison. The uniforms come
 from the same counter-based keys: a production uniform folds the round into
 its (run, agent) key last, so the keys are built once per point and a round
 costs one mix. A batched run is therefore bit-identical to the scalar
-reference loop; tests enforce that. A batch stores, for each round, the
-entropy and high-quality count of the replicates that ran it, the two metrics
-the kernel measures; it builds each (replicates, rounds) metric array on
-access.
+reference loop; tests enforce that. A batch stores the metrics the kernel
+measures, each round's entropy and high-quality counts, as BatchResult says.
 
 Under an open-ended horizon the kernel steps only the replicates still
-running: one that has converged and finished the round-robin retires, and its
-columns past n_rounds hold a fixed fill (NaN, and -1 for counts and
-history), so a replicate's row depends on its seed alone. Retiring moves the
-kept codes and keys to the front of the arrays they were in, so the point
-allocates its codes once.
+running: one that has converged and finished the round-robin retires.
+Retiring moves the kept codes and keys to the front of the arrays they were
+in, so the point allocates its codes once.
 
 A point's connectivity is one field: a built-in kind or a Schedule. One call,
 ParameterPoint.validate(), decides whether a point runs and returns the
@@ -64,8 +60,7 @@ import numpy as np
 
 from . import metrics, output, rng
 from .errors import InvalidParamsError, MicrosocError, ScheduleValidationError
-from .schedule import (BUILTIN_SIZES, ConnectivityKind, Schedule, builtin_schedule,
-                       validate_schedule)
+from .schedule import ConnectivityKind, Schedule, builtin_schedule, validate_schedule
 
 UNBOUNDED = math.inf
 # The largest population whose ids and high-quality counts fit int16; below
@@ -133,8 +128,6 @@ class ParameterPoint:
                 f"quality owner {owner!r} outside population of {n}"
             )
         if not isinstance(self.connectivity, Schedule):
-            if n not in BUILTIN_SIZES:
-                raise InvalidParamsError(f"population size {n} has no builtin schedule")
             return builtin_schedule(self.connectivity, n)
         schedule = self.connectivity
         if schedule.n_agents != n:
@@ -252,18 +245,18 @@ class BatchResult:
     productions are the high-quality variant, in the history's dtype) of each
     replicate that ran the round.
     n_rounds[r] says how many leading rounds replicate r ran (they differ
-    only in until-convergence mode), so round t's pair holds the replicates
-    with n_rounds >= t, in ascending id. history is every round's
-    productions, (replicates, max_rounds + 1, n_agents), int8 below 128
-    agents and int16 otherwise, or None for a batch run with history=False:
-    column 0 holds each agent's seed variant, and what agents heard in round
-    t is history[:, t] permuted by the round's partners; its columns past
-    n_rounds[r] + 1 are -1.
+    only in until-convergence mode); round t's pair holds the replicates that
+    ran(t) marks, in ascending id. history is every round's productions,
+    (replicates, max_rounds + 1, n_agents), int8 below 128 agents and int16
+    otherwise, or None for a batch run with history=False: column 0 holds
+    each agent's seed variant, and what agents heard in round t is
+    history[:, t] permuted by the round's partners; it is -1 in the rounds a
+    replicate did not run.
 
     entropy, quality_counts, productions and the derived metrics are
     read-only properties; each access builds a whole (replicates, rounds)
     array, with rows for replicates and columns for rounds 1..max executed,
-    NaN past n_rounds (-1 in quality_counts).
+    NaN where a replicate did not run the round (-1 in quality_counts).
     """
 
     point: ParameterPoint
@@ -275,13 +268,22 @@ class BatchResult:
     convergence_rounds: np.ndarray  # 0 where censored
     history: np.ndarray | None
 
+    def ran(self, t) -> np.ndarray:
+        """Which replicates ran round t, or each of an array of rounds: n_rounds >= t."""
+        return np.greater_equal.outer(self.n_rounds, t)
+
+    @property
+    def initial_adaptiveness(self) -> float:
+        """The high-quality share before round 1: the owner's seed alone."""
+        return metrics.adaptiveness(1, self.point.n_agents)
+
     def _dense(self, part: int, fill) -> np.ndarray:
-        """Part `part` of the round pairs as (replicates, rounds), with fill
-        past n_rounds: each round scattered into the replicates that ran it."""
+        """Part `part` of the round pairs as (replicates, rounds): each round
+        scattered into the replicates that ran it, with fill elsewhere."""
         rounds = self.rounds
         out = np.full((self.n_replicates, len(rounds)), fill, dtype=rounds[0][part].dtype)
         for t, pair in enumerate(rounds):
-            out[self.n_rounds > t, t] = pair[part]
+            out[self.ran(t + 1), t] = pair[part]
         return out
 
     @property
@@ -310,12 +312,13 @@ class BatchResult:
 
     @property
     def adaptiveness(self) -> np.ndarray:
-        return metrics.adaptiveness(self.quality_counts, self.point.n_agents)
+        counts = self.quality_counts
+        return np.where(counts < 0, np.nan, metrics.adaptiveness(counts, self.point.n_agents))
 
     @property
     def delta_adaptiveness(self) -> np.ndarray:
         now = self.adaptiveness
-        before = np.insert(now[:, :-1], 0, 1 / self.point.n_agents, axis=1)
+        before = np.insert(now[:, :-1], 0, self.initial_adaptiveness, axis=1)
         return metrics.delta_adaptiveness(now, before)
 
 
@@ -508,19 +511,8 @@ def run_replicates(
                 codes = codes_buf[: n_variants * kept_n].reshape(n_variants, kept_n)
 
     executed = t
-    kept_history = prods[:, : executed + 1, :] if history else None
-    if horizon.open_ended:
-        n_rounds = np.where(conv > 0, np.maximum(conv, cycle), executed)
-        # Columns past a replicate's own horizon get a fixed fill, so its row
-        # depends on its seed alone and not on its batch-mates; the metrics
-        # get theirs on access.
-        if history:
-            past = np.arange(executed) >= n_rounds[:, None]
-            np.copyto(kept_history[:, 1:, :], -1, where=past[:, :, None])
-    else:
-        n_rounds = np.full(replicates, executed, dtype=np.int64)
-
-    return BatchResult(
+    n_rounds = np.where((conv > 0) & horizon.open_ended, np.maximum(conv, cycle), executed)
+    batch = BatchResult(
         point=point,
         horizon=horizon,
         run_seeds=seeds,
@@ -528,8 +520,14 @@ def run_replicates(
         n_rounds=n_rounds,
         rounds=rounds,
         convergence_rounds=conv,
-        history=kept_history,
+        history=prods[:, : executed + 1, :] if history else None,
     )
+    if history:
+        # Rounds a replicate did not run get a fixed fill, so that its row
+        # depends on its seed alone and not on its batch-mates.
+        past = ~batch.ran(np.arange(1, executed + 1))
+        np.copyto(batch.history[:, 1:], -1, where=past[:, :, None])
+    return batch
 
 
 @dataclass(frozen=True)

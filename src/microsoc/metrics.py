@@ -51,14 +51,12 @@ def entropy_norm(entropy, n_agents):
 
 
 def adaptiveness(counts, n_agents):
-    """The high-quality variant's share of a round's n_agents productions;
-    NaN where the count is -1, a round the run did not reach."""
-    return np.where(counts < 0, np.nan, counts / n_agents)
+    """The high-quality variant's share of a round's n_agents productions."""
+    return counts / n_agents
 
 
 def delta_adaptiveness(now, before):
-    """The change in adaptiveness from the round before; before round 1 the
-    owner's seed alone is high-quality, a share of 1 / n_agents."""
+    """The change in adaptiveness from the round before."""
     return now - before
 
 

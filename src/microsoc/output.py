@@ -86,7 +86,8 @@ def _point_fields(n_agents, connectivity, content_bias, coordination_bias, memor
 
 
 def runs_block(batch) -> str:
-    """All runs.csv rows (no header) for one point's batch, in run/round order.
+    """All runs.csv rows (no header) for one point's batch, in run/round order:
+    a row for each round a replicate ran, as BatchResult.ran says.
 
     A row is a per-replicate head (run_id .. quality_owner) and a tail
     (round .. converged_flag). A point has far fewer distinct tails than
@@ -98,19 +99,20 @@ def runs_block(batch) -> str:
     """
     entropy = batch.entropy  # each access builds the array
     n_cols = entropy.shape[1]
-    # Row-major order of the meaningful cells is the file's run/round order.
-    run_idx, round_idx = np.nonzero(np.arange(n_cols) < batch.n_rounds[:, None])
+    # Row-major order of the cells that ran is the file's run/round order.
+    run_idx, round_idx = np.nonzero(batch.ran(np.arange(1, n_cols + 1)))
     n = batch.point.n_agents
     levels, ent_code = np.unique(entropy[run_idx, round_idx].view(np.uint64),
                                  return_inverse=True)
     del entropy
     counts = batch.quality_counts
-    # Before round 1 the count before is 1, a share of 1/n.
-    prior = np.where(round_idx > 0, counts[run_idx, round_idx - 1], 1)
-    pair = counts[run_idx, round_idx].astype(np.int64) * (n + 1) + prior
+    # share[c] is a count c's share, and share[n + 1] the one before round 1.
+    share = np.append(metrics.adaptiveness(np.arange(n + 1), n), batch.initial_adaptiveness)
+    prior = np.where(round_idx > 0, counts[run_idx, round_idx - 1], np.intp(n + 1))
+    pair = counts[run_idx, round_idx].astype(np.int64) * (n + 2) + prior
     key = round_idx.astype(np.int64)
     span = n_cols
-    for size, code in ((len(levels), ent_code), ((n + 1) ** 2, pair)):
+    for size, code in ((len(levels), ent_code), ((n + 1) * (n + 2), pair)):
         if span * size >= 2**63:
             # Renumber the key densely so the next fold cannot overflow.
             distinct, key = np.unique(key, return_inverse=True)
@@ -126,8 +128,7 @@ def runs_block(batch) -> str:
            for xy in zip(e.tolist(), metrics.entropy_norm(e, n).tolist())]
     converged = [int(x == 0.0) for x in e.tolist()]
     pairs, pair_idx = np.unique(pair[rep], return_inverse=True)
-    now, before = np.divmod(pairs, n + 1)
-    share = metrics.adaptiveness(np.arange(n + 1), n)
+    now, before = np.divmod(pairs, n + 2)
     adapt = ["%.17g,%.17g" % xy for xy in zip(
         share[now].tolist(), metrics.delta_adaptiveness(share[now], share[before]).tolist())]
     tails = [f",{t + 1},{ent[i]},{adapt[j]},{converged[i]}\n" for t, i, j in
@@ -148,11 +149,11 @@ def runs_block(batch) -> str:
 def summarize_batch(batch) -> list[SummaryRecord]:
     """Per-round aggregate rows for one batch, plus a TC row if open-ended.
 
-    A round is summarized over the replicates that executed it (all of them
-    under a fixed horizon) and only if at least two did. The TC row appears
-    only under an open-ended horizon (until-convergence mode), whatever the
-    run lengths, and only if at least one run converged; with a single
-    converged run its sd and ci95 are 0.
+    A round is summarized from batch.rounds over the replicates that ran it,
+    as BatchResult.ran says (all of them under a fixed horizon), and only if
+    at least two did. The TC row appears only under an open-ended horizon
+    (until-convergence mode), whatever the run lengths, and only if at least
+    one run converged; with a single converged run its sd and ci95 are 0.
     """
     # Records are built positionally: cheaper than a keyword expansion each.
     key = _point_key(batch.point)
@@ -160,12 +161,12 @@ def summarize_batch(batch) -> list[SummaryRecord]:
     n_agents = batch.point.n_agents
     # Each replicate's adaptiveness in the round before, by replicate id; a
     # replicate that ran a round ran every round before it.
-    prev_a = np.full(batch.n_replicates, 1 / n_agents)
+    prev_a = np.full(batch.n_replicates, batch.initial_adaptiveness)
     for t, (e, counts) in enumerate(batch.rounds, 1):
         n = len(e)
         if n < 2:  # and fewer in every later round
             break
-        ran = batch.n_rounds >= t
+        ran = batch.ran(t)
         now = metrics.adaptiveness(counts, n_agents)
         before = prev_a[ran]
         prev_a[ran] = now
@@ -228,6 +229,9 @@ def _summary_record(row: list[str], path) -> SummaryRecord:
     if not (all(map(math.isfinite, floats))
             and (math.isfinite(rec.memory) or rec.memory == math.inf)):
         raise ConfigError(f"{path}: non-finite value in row {row!r}")
+    # Pooling takes n as a float, exact up to 2**53; no sum of such n overflows.
+    if not (0 <= rec.n <= 2**53 and rec.censored_n >= 0):
+        raise ConfigError(f"{path}: n or censored_n out of range in row {row!r}")
     return rec
 
 

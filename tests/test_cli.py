@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import microsoc
-from microsoc import cli, engine, errors, metrics, rng
+from microsoc import cli, engine, errors, metrics, plotting, rng
 from microsoc.cli import DEFAULT_CONFIG, _validated_config, main
 from microsoc.output import SUMMARY_HEADER, CsvSweepSink, read_summary
 from microsoc.schedule import builtin_schedule, export_schedule, load_schedule
@@ -501,7 +501,8 @@ class TestSweep:
         assert run_cli(capsys, "sweep", str(small_config(tmp_path)))[0] == 0
         before = output_files(tmp_path / "out")
         for overrides, message in (
-            (dict(population_sizes=[10]), "population size 10 has no builtin schedule"),
+            (dict(population_sizes=[10]),
+             "built-in schedules exist for (8, 16, 32), not 10 agents"),
             (dict(population_sizes=[16], connectivity=["early", "mid"]),
              "mid connectivity is only defined for 8 agents"),
         ):
@@ -558,7 +559,7 @@ class TestSweep:
         ("memory_levels", [0], "memory_window must be a positive integer"),
         ("memory_levels", [2**53 + 1], "memory_window must be a positive integer of at most"),
         ("memory_levels", [10**400], "memory_window must be a positive integer of at most"),
-        ("population_sizes", [1], "population size 1 has no builtin schedule"),
+        ("population_sizes", [1], "built-in schedules exist for (8, 16, 32), not 1 agents"),
         ("quality_mode", {"fixed_owner": 9}, "fixed_owner exceeds"),
         ("connectivity", ["erly"], "neither a built-in kind (early, mid, late)"),
     ], ids=["c-1.5", "b-negative", "mu-nan", "memory-0", "memory-2**53+1", "memory-10**400",
@@ -832,6 +833,8 @@ def run_into_closed_pipe(*argv, unbuffered=""):
 
 
 class TestClosedStdout:
+    """cli.main's BrokenPipeError path: stdout is a pipe whose reader has gone."""
+
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv", [
         ("simulate", "--seed", "3", "--until-convergence"),
@@ -936,6 +939,15 @@ class TestPlot:
                  "--out", str(tmp_path / "x.svg")]
             )
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("metric,facet,message", [
+        ("nonsense", "content_bias", "metric must be one of"),
+        ("entropy", "round_no", "facet must be one of"),
+    ], ids=["metric", "facet"])
+    def test_render_svg_refuses_an_unknown_metric_or_facet(self, metric, facet, message):
+        # The CLI's choices refuse both first; the library call checks them itself.
+        with pytest.raises(errors.InvalidParamsError, match=message):
+            plotting.render_svg([], metric, facet)
 
     def test_unknown_connectivity_label_rejected(self, capsys, tmp_path):
         summary = tmp_path / "summary.csv"
@@ -1045,11 +1057,18 @@ PLOT_FILE = ("plot", "{path}", "--out", "{out}")
     (PLOT_FILE, SUMMARY_HEADER + "\n8,early,0,0.5,inf,0.02,1,entropy,x,0,0,10,0\n",
      "bad value in row"),
     (PLOT_FILE, SUMMARY_HEADER + "\n", "no 'entropy' rows in the summary"),
+    (PLOT_FILE, SUMMARY_HEADER + "\n8,early,0,0.5,inf,0.02,1,entropy,3,0.1,0.05,-5,0\n"
+     "8,early,0,0.5,inf,0.02,1,entropy,3,0.1,0.05,10,0\n", "input: n or censored_n out of range"),
+    (PLOT_FILE, SUMMARY_HEADER + f"\n8,early,0,0.5,inf,0.02,1,entropy,3,0.1,0.05,{10**400},0\n",
+     "input: n or censored_n out of range"),
+    (PLOT_FILE, SUMMARY_HEADER + "\n8,early,0,0.5,inf,0.02,1,entropy,3,0.1,0.05,10,-1\n",
+     "input: n or censored_n out of range"),
 ], ids=["config-not-json", "config-array", "level-not-a-list", "horizon-mode",
         "empty-output-dir", "max-rounds-alone", "memory-2.5", "quality-owner-0",
         "source-0", "source-9", "agents-x", "no-header", "self-pair", "truncated-json",
         "json-without-rounds", "summary-3-columns", "summary-not-a-number",
-        "summary-header-only"])
+        "summary-header-only", "summary-negative-n", "summary-n-past-a-float",
+        "summary-negative-censored-n"])
 def test_a_refused_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, content,
                                           message):
     # Run where a default output_dir would land, so that anything written shows.

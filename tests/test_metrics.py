@@ -176,6 +176,15 @@ class TestAggregate:
         assert merged.ci95 == pytest.approx(flat.ci95, abs=1e-12)
 
 
+    @pytest.mark.parametrize("ns,message", [
+        ((), "nothing to pool"),
+        ((1,), "pooled sample needs at least 2 values"),
+        ((1, 0), "pooled sample needs at least 2 values"),
+    ], ids=["no-groups", "one-value", "one-value-in-two-groups"])
+    def test_pooling_needs_two_values(self, ns, message):
+        with pytest.raises(InvalidParamsError, match=message):
+            metrics.pooled([metrics.AggregateStats(1.0, 0.0, 0.0, n) for n in ns])
+
     def test_pooling_overflows_to_inf_without_raising(self):
         # A square past the largest float is inf, as the product gives it.
         merged = metrics.pooled([metrics.AggregateStats(1e308, 1e308, 1e308, 10)])
@@ -225,6 +234,10 @@ class TestDetectBursts:
     def test_too_short_rejected(self):
         with pytest.raises(InvalidParamsError, match="at least three points"):
             metrics.detect_bursts([0.1, 0.2], 0.05)
+
+    def test_negative_prominence_rejected(self):
+        with pytest.raises(InvalidParamsError, match="prominence must be nonnegative"):
+            metrics.detect_bursts([0.1, 0.4, 0.1], -0.05)
 
     @given(
         peak=st.integers(1, 6),

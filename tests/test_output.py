@@ -444,7 +444,7 @@ class TestCsvSweepSink:
         names = ("runs.csv", "summary.csv", CsvSweepSink.CHECKPOINT)
         before = {name: (out / name).read_bytes() for name in names}
         for grid, horizon, message in (
-            (SweepGrid(population_sizes=(10,)), FixedHorizon(), "population size 10"),
+            (SweepGrid(population_sizes=(10,)), FixedHorizon(), "not 10 agents"),
             # A horizon that does not fit the grid's schedules is refused as early.
             (SMALL_GRID, UntilConvergence(3), "rounds >= 7"),
             (SMALL_GRID, FixedHorizon(0), "rounds >= 1"),

@@ -270,8 +270,13 @@ class TestSerialization:
             loads_schedule(json.dumps(doc))
 
     def test_missing_header_rejected(self):
-        with pytest.raises(ScheduleParseError):
+        with pytest.raises(ScheduleParseError, match="expected header 'agents=N' before"):
             loads_schedule("1-2 3-4\n")
+
+    @pytest.mark.parametrize("text", ["", "# agents=4\n\n"], ids=["empty", "comments-only"])
+    def test_text_of_only_blanks_or_comments_has_no_header(self, text):
+        with pytest.raises(ScheduleParseError, match="missing 'agents=N' header"):
+            loads_schedule(text)
 
     def test_duplicate_pair_rejected_on_load(self):
         text = "agents=4\n1-2 3-4\n1-2 3-4\n"
